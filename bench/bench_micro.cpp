@@ -99,7 +99,7 @@ void BM_MatmulBias(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(2 * 256 * 96 * 256));
 }
-BENCHMARK(BM_MatmulBias);
+BENCHMARK(BM_MatmulBias)->UseRealTime();
 
 // The inference fast path's GEMM: B packed once, reused every call.  The
 // delta against BM_MatmulBias (same shape, per-call packing) is the
@@ -118,7 +118,7 @@ void BM_MatmulPacked(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(2 * 256 * 96 * 256));
 }
-BENCHMARK(BM_MatmulPacked);
+BENCHMARK(BM_MatmulPacked)->UseRealTime();
 
 void BM_MatmulPacked512(benchmark::State& state) {
     Rng rng(26);
@@ -147,7 +147,7 @@ void BM_MatmulTallSkinny(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(2 * 512 * 128 * n));
 }
-BENCHMARK(BM_MatmulTallSkinny)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_MatmulTallSkinny)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->UseRealTime();
 
 void BM_Transpose(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
@@ -178,7 +178,7 @@ void BM_MlpForwardBackward(benchmark::State& state) {
         benchmark::DoNotOptimize(net.backward(g));
     }
 }
-BENCHMARK(BM_MlpForwardBackward);
+BENCHMARK(BM_MlpForwardBackward)->UseRealTime();
 
 void BM_KgBuildAndCompileOracle(benchmark::State& state) {
     for (auto _ : state) {
@@ -296,6 +296,22 @@ void BM_SampleThroughputStreaming(benchmark::State& state) {
                             static_cast<std::int64_t>(kRows));
 }
 BENCHMARK(BM_SampleThroughputStreaming)->UseRealTime();
+
+// Rows/s of the serving path's CSV writer alone: a sampled lab table
+// written straight into a reused buffer, as each SAMPLE chunk is.
+void BM_TableAppendCsv(benchmark::State& state) {
+    const data::Table table = sample_bench_model(false).sample_seeded(4096, 1);
+    std::string out;
+    for (auto _ : state) {
+        out.clear();
+        table.append_csv(out, /*include_header=*/true);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(table.rows()));
+}
+BENCHMARK(BM_TableAppendCsv)->UseRealTime();
 
 // End-to-end rows/s through a live server while Arg(0) idle connections sit
 // parked on the epoll loop.  Flat numbers across the arg column are the

@@ -53,17 +53,15 @@ std::vector<std::string> parse_record(const std::string& content, std::size_t& p
     return fields;
 }
 
-bool needs_quoting(const std::string& cell) {
-    return cell.find_first_of(",\"\n\r") != std::string::npos;
-}
+}  // namespace
 
-void write_cell(std::string& out, const std::string& cell) {
-    if (!needs_quoting(cell)) {
+void append_cell(std::string& out, std::string_view cell) {
+    if (cell.find_first_of(",\"\n\r") == std::string_view::npos) {
         out += cell;
         return;
     }
     out.push_back('"');
-    for (char c : cell) {
+    for (const char c : cell) {
         if (c == '"') {
             out += "\"\"";
         } else {
@@ -72,8 +70,6 @@ void write_cell(std::string& out, const std::string& cell) {
     }
     out.push_back('"');
 }
-
-}  // namespace
 
 Document parse(const std::string& content) {
     Document doc;
@@ -109,7 +105,7 @@ void serialize_append(const Document& doc, bool include_header, std::string& out
             if (i > 0) {
                 out.push_back(',');
             }
-            write_cell(out, row[i]);
+            append_cell(out, row[i]);
         }
         out.push_back('\n');
     };

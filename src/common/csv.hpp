@@ -7,6 +7,7 @@
 #define KINETGAN_COMMON_CSV_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace kinet::csv {
@@ -30,6 +31,11 @@ struct Document {
 /// false only the data rows are written — the streamed-chunk continuation
 /// form, byte-identical to one big serialize() when chunks concatenate.
 void serialize_append(const Document& doc, bool include_header, std::string& out);
+
+/// Appends one cell, quoted only when it contains a comma, quote, CR or LF
+/// (embedded quotes doubled) — the single quoting rule shared by the
+/// Document writer and data::Table::append_csv.
+void append_cell(std::string& out, std::string_view cell);
 
 /// Writes a document to disk; throws kinet::Error on I/O failure.
 void write_file(const std::string& path, const Document& doc);

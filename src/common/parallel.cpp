@@ -32,6 +32,8 @@ std::size_t hardware_threads() {
 namespace {
 /// The Impl whose worker_loop the current thread is running, if any.
 thread_local const void* t_worker_pool = nullptr;
+/// Global-pool parallel_for calls that ran as more than one chunk.
+std::atomic<std::size_t> g_split_calls{0};
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -200,7 +202,12 @@ void parallel_for(std::size_t count, std::size_t grain,
         }
         return;
     }
+    g_split_calls.fetch_add(1, std::memory_order_relaxed);
     ThreadPool::global().parallel_for(count, count / g, fn);
+}
+
+std::size_t parallel_for_split_count() noexcept {
+    return g_split_calls.load(std::memory_order_relaxed);
 }
 
 }  // namespace kinet

@@ -78,6 +78,11 @@ private:
 void parallel_for(std::size_t count, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 
+/// How many parallel_for calls in this process have run as more than one
+/// chunk on the global pool.  Lets a test check that a workload really
+/// splits at a given thread count instead of running inline.
+[[nodiscard]] std::size_t parallel_for_split_count() noexcept;
+
 }  // namespace kinet
 
 #endif  // KINETGAN_COMMON_PARALLEL_H

@@ -1,7 +1,8 @@
 #include "src/common/text.hpp"
 
+#include <array>
 #include <cctype>
-#include <sstream>
+#include <charconv>
 
 #include "src/common/check.hpp"
 
@@ -49,12 +50,22 @@ bool starts_with(std::string_view s, std::string_view prefix) {
     return s.substr(0, prefix.size()) == prefix;
 }
 
+void append_double(std::string& out, double v, int precision) {
+    // Sign, the 309 integer digits of the largest finite double, the point
+    // and up to 89 fraction digits.  Left uninitialised on purpose (this
+    // runs per served cell): only [data, end) is read back.
+    std::array<char, 400> buf;
+    const auto [end, ec] =
+        std::to_chars(buf.data(), buf.data() + buf.size(), v, std::chars_format::fixed, precision);
+    KINET_CHECK(ec == std::errc{}, "format_double: precision " + std::to_string(precision) +
+                                       " does not fit the format buffer");
+    out.append(buf.data(), end);
+}
+
 std::string format_double(double v, int precision) {
-    std::ostringstream os;
-    os.setf(std::ios::fixed);
-    os.precision(precision);
-    os << v;
-    return os.str();
+    std::string out;
+    append_double(out, v, precision);
+    return out;
 }
 
 std::string pad(std::string_view s, std::size_t width) {

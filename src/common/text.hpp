@@ -21,8 +21,14 @@ namespace kinet::text {
 /// True if s starts with the given prefix.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 
-/// Fixed-precision double formatting for report tables (no trailing noise).
+/// Fixed-precision double formatting: the bytes printf("%.*f") produces in
+/// the C locale (including "inf", "-inf", "nan", "-nan" and "-0.000000"),
+/// via std::to_chars — no stream or locale object per call.
 [[nodiscard]] std::string format_double(double v, int precision);
+
+/// format_double appended to `out` — the allocation-free form the CSV
+/// writers use per cell.
+void append_double(std::string& out, double v, int precision);
 
 /// Left-pads/truncates to a column width for aligned console tables.
 [[nodiscard]] std::string pad(std::string_view s, std::size_t width);

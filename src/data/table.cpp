@@ -7,6 +7,12 @@
 #include "src/common/text.hpp"
 
 namespace kinet::data {
+namespace {
+
+// Fraction digits of a continuous cell in CSV output.
+constexpr int kCsvDecimals = 6;
+
+}  // namespace
 
 std::size_t ColumnMeta::category_id(const std::string& label) const {
     const auto found = find_category(label);
@@ -176,12 +182,38 @@ csv::Document Table::to_csv() const {
             if (columns_[c].is_categorical()) {
                 row.push_back(label_at(r, c));
             } else {
-                row.push_back(text::format_double(value(r, c), 6));
+                row.push_back(text::format_double(values_(r, c), kCsvDecimals));
             }
         }
         doc.rows.push_back(std::move(row));
     }
     return doc;
+}
+
+void Table::append_csv(std::string& out, bool include_header) const {
+    if (include_header) {
+        for (std::size_t c = 0; c < cols(); ++c) {
+            if (c > 0) {
+                out.push_back(',');
+            }
+            csv::append_cell(out, columns_[c].name);
+        }
+        out.push_back('\n');
+    }
+    for (std::size_t r = 0; r < rows(); ++r) {
+        for (std::size_t c = 0; c < cols(); ++c) {
+            if (c > 0) {
+                out.push_back(',');
+            }
+            if (columns_[c].is_categorical()) {
+                csv::append_cell(out, label_at(r, c));
+            } else {
+                // A fixed-notation number never needs quoting.
+                text::append_double(out, values_(r, c), kCsvDecimals);
+            }
+        }
+        out.push_back('\n');
+    }
 }
 
 Table Table::from_csv(const csv::Document& doc, const std::vector<ColumnMeta>& schema) {

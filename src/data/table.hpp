@@ -99,6 +99,12 @@ public:
     [[nodiscard]] static Table from_csv(const csv::Document& doc,
                                         const std::vector<ColumnMeta>& schema);
 
+    /// Appends the CSV text of this table to `out` (header line first when
+    /// include_header) without building a csv::Document: byte-identical to
+    /// csv::serialize_append(to_csv(), include_header, out).  Throws
+    /// kinet::Error on an out-of-range stored category, like to_csv().
+    void append_csv(std::string& out, bool include_header) const;
+
 private:
     std::vector<ColumnMeta> columns_;
     tensor::Matrix values_;

@@ -118,8 +118,7 @@ public:
             const data::Table* chunk = cursor_->next();
             if (chunk != nullptr) {
                 payload_.clear();
-                csv::serialize_append(chunk->to_csv(), /*include_header=*/chunks_ == 0,
-                                      payload_);
+                chunk->append_csv(payload_, /*include_header=*/chunks_ == 0);
                 out = "CHUNK " + std::to_string(payload_.size()) + "\n";
                 out += payload_;
                 rows_ += chunk->rows();
@@ -892,12 +891,13 @@ Response SynthServer::handle_sample(const Request& request) {
     Response r;
     std::uint64_t rows = 0;
     run_sample_stream(*entry->model, spec, 0, [&](const data::Table& chunk) {
-        csv::serialize_append(chunk.to_csv(), /*include_header=*/rows == 0, r.payload);
+        chunk.append_csv(r.payload, /*include_header=*/rows == 0);
         rows += chunk.rows();
     });
     if (rows == 0) {
-        // Zero-row responses still carry the header line.
-        r.payload = csv::serialize(data::Table(entry->model->schema()).to_csv());
+        // Zero-row responses still carry the header line (the sink never
+        // sees an empty chunk, so the payload is empty here).
+        data::Table(entry->model->schema()).append_csv(r.payload, /*include_header=*/true);
     }
     entry->requests.fetch_add(1, std::memory_order_relaxed);
     entry->rows_served.fetch_add(rows, std::memory_order_relaxed);

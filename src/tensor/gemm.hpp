@@ -85,6 +85,16 @@ void gemm_packed(std::size_t m, GemmOperand a, const PackedGemmB& b, float* c, s
 
 namespace detail {
 
+// The engine's one scheduling rule: a GEMM splits across the pool only when
+// every chunk carries at least this many flops (~4 MFLOP); below it,
+// parallel_for runs the whole range inline on the caller.  A chunk must
+// outweigh waking and joining a pool lane, and on a serving node the lanes
+// are already busy with other requests, so batch-sized products (a 128-row
+// generator layer, a training step) stay on the calling thread and
+// request-level concurrency supplies the parallelism.  Products of 256^3
+// and larger still split.  See docs/performance.md.
+inline constexpr std::size_t kGemmMinFlopsPerChunk = std::size_t{1} << 22;
+
 /// Instantiation entry points (one per translation unit / ISA).  Same
 /// semantics as gemm(); callers must have handled m == 0 || n == 0.
 void gemm_generic(std::size_t m, std::size_t n, std::size_t k, GemmOperand a, GemmOperand b,

@@ -36,9 +36,8 @@ namespace kinet::tensor::detail {
 inline constexpr std::size_t kGemmKC = 256;
 inline constexpr std::size_t kGemmNC = 1024;
 
-// Minimum multiply-adds per parallel chunk (mirrors the pre-packed kernels:
-// below this, parallel_for runs the whole range inline on the caller).
-inline constexpr std::size_t kGemmMinFlopsPerChunk = 1U << 16;
+// kGemmMinFlopsPerChunk (the scheduling rule every drive below applies to
+// its parallel_for grain) lives in gemm.hpp, where tests can see it.
 
 #if defined(__GNUC__) || defined(__clang__)
 #define KINET_GEMM_VECTOR_EXT 1

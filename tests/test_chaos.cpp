@@ -488,7 +488,7 @@ TEST(CrashRecovery, DrainStopsAdmissionThenStops) {
 class ReplicateErrors : public ::testing::Test {
 protected:
     static void SetUpTestSuite() {
-        dir_ = new std::string(fresh_dir("replicate"));
+        dir_ = new std::string(fresh_dir("replicate_" + first_selected_case()));
         std::filesystem::create_directories(*dir_);
         ServerOptions options;
         options.snapshot_dir = *dir_;
@@ -507,11 +507,25 @@ protected:
                                      std::istreambuf_iterator<char>());
         ASSERT_FALSE(container_->empty());
     }
+    /// ctest runs every case as its own process, in parallel, and each
+    /// runs this fixture's suite setup: naming the directory after the case
+    /// the process selected keeps one case from wiping another's snapshots.
+    static std::string first_selected_case() {
+        const ::testing::TestSuite* suite =
+            ::testing::UnitTest::GetInstance()->current_test_suite();
+        for (int i = 0; i < suite->total_test_count(); ++i) {
+            if (suite->GetTestInfo(i)->should_run()) {
+                return suite->GetTestInfo(i)->name();
+            }
+        }
+        return "none";
+    }
     static void TearDownTestSuite() {
         delete server_;
         server_ = nullptr;
         delete container_;
         container_ = nullptr;
+        std::filesystem::remove_all(*dir_);
         delete dir_;
         dir_ = nullptr;
     }

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "src/common/check.hpp"
 #include "src/common/csv.hpp"
@@ -162,6 +166,58 @@ TEST(Text, JoinAndPad) {
 TEST(Text, FormatDoubleFixedPrecision) {
     EXPECT_EQ(kinet::text::format_double(0.126, 2), "0.13");
     EXPECT_EQ(kinet::text::format_double(3.0, 3), "3.000");
+}
+
+namespace {
+
+std::string printf_fixed(double v, int precision) {
+    std::vector<char> buf(512);
+    const int len = std::snprintf(buf.data(), buf.size(), "%.*f", precision, v);
+    return std::string(buf.data(), static_cast<std::size_t>(len));
+}
+
+}  // namespace
+
+TEST(Text, FormatDoubleMatchesPrintfOverValueSweep) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> values = {
+        0.0, -0.0, 1e-7, -1e-7, 4e-7, 5e-7, -5e-7, 1e20, -1e20, 1e300,
+        // Exact decimal ties at precision 0..3 (printf rounds them to even),
+        // and 2.675, whose binary value sits just below its tie.
+        0.5, 1.5, 2.5, -2.5, 0.125, 0.375, 1.0625, 2.675,
+        std::numeric_limits<double>::denorm_min(), std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(), kInf, -kInf, kNan, -kNan};
+    // Served cells are floats widened to double; sweep those too.
+    Rng rng(161);
+    for (int i = 0; i < 2000; ++i) {
+        const double magnitude = std::pow(10.0, rng.uniform(-9.0, 9.0));
+        values.push_back(static_cast<float>(rng.uniform(-1.0, 1.0) * magnitude));
+    }
+    for (const double v : values) {
+        for (const int precision : {0, 1, 3, 6, 9}) {
+            ASSERT_EQ(kinet::text::format_double(v, precision), printf_fixed(v, precision))
+                << "value " << v << " precision " << precision;
+        }
+    }
+    std::string out = "x=";
+    kinet::text::append_double(out, -0.0, 6);
+    EXPECT_EQ(out, "x=-0.000000");
+    // Fixed notation of 1e300 with 200 fraction digits overflows the buffer.
+    EXPECT_THROW((void)kinet::text::format_double(1e300, 200), Error);
+}
+
+TEST(Csv, AppendCellQuotesOnlyWhenNeeded) {
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"plain", "plain"},       {"", ""},
+        {"a,b", "\"a,b\""},       {"say \"hi\"", "\"say \"\"hi\"\"\""},
+        {"l1\nl2", "\"l1\nl2\""}, {"cr\r", "\"cr\r\""},
+        {"sp ace", "sp ace"}};
+    for (const auto& [cell, want] : cases) {
+        std::string out = "<";
+        kinet::csv::append_cell(out, cell);
+        EXPECT_EQ(out, "<" + want) << cell;
+    }
 }
 
 TEST(Csv, RoundTripWithQuoting) {

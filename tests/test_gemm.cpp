@@ -13,11 +13,14 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <utility>
 #include <unistd.h>
 
 #include "src/common/bytes.hpp"
 #include "src/common/check.hpp"
+#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/nn/grad_check.hpp"
 #include "src/nn/nn.hpp"
@@ -218,62 +221,132 @@ TEST(Gemm, GradCheckThroughFusedLinearActivationStack) {
     EXPECT_LT(result.max_param_error, 5e-2);
 }
 
+struct Shape {
+    std::size_t m, k, n;
+};
+
+// Shapes large enough to split at 4 threads under the engine's grain, one
+// per parallel drive; ThreadIdentityShapesSplitOnEveryDrive pins that.
+constexpr Shape kRowStripShape{192, 256, 512};
+constexpr Shape kJcShape{12, 1024, 512};
+constexpr Shape kSmallNShape{640, 1024, 7};
+
 /// Runs the fixed workload whose byte-level hash the thread-identity test
-/// compares across KINET_NUM_THREADS settings.
+/// compares across KINET_NUM_THREADS settings: the unpacked (plain, tn, nt)
+/// and pre-packed entry points over small shapes that run inline and the
+/// three splitting shapes above.
 std::uint64_t workload_hash() {
     Rng rng(4242);
     kinet::bytes::Writer w;
-    const std::size_t shapes[][3] = {{97, 257, 65}, {6, 16, 16}, {130, 300, 70}, {13, 31, 7}};
+    const Shape shapes[] = {{97, 257, 65}, {6, 16, 16},      {130, 300, 70},
+                            {13, 31, 7},   kRowStripShape, kJcShape, kSmallNShape};
     for (const auto& s : shapes) {
-        const Matrix a = random_matrix(s[0], s[1], rng);
-        const Matrix b = random_matrix(s[1], s[2], rng);
-        const Matrix bias = random_matrix(1, s[2], rng);
+        const Matrix a = random_matrix(s.m, s.k, rng);
+        const Matrix b = random_matrix(s.k, s.n, rng);
+        const Matrix bias = random_matrix(1, s.n, rng);
         const Matrix c = ops::matmul_bias(a, b, bias);
         const Matrix tn = ops::matmul_tn(ops::transpose(a), b);
         const Matrix nt = ops::matmul_nt(a, ops::transpose(b));
-        for (const Matrix* m : {&c, &tn, &nt}) {
+        const Matrix packed = ops::matmul_packed_bias(a, ops::pack_gemm_b(b), bias);
+        for (const Matrix* m : {&c, &tn, &nt, &packed}) {
             w.f32_array(m->data());
         }
     }
     return kinet::bytes::fnv1a(w.buffer());
 }
 
-TEST(Gemm, BitIdenticalAcrossThreadCounts) {
-    // The pool size is latched at first use, so each thread count gets a
-    // fresh process: re-exec this binary with KINET_NUM_THREADS pinned and
-    // compare the workload hashes.
+/// Runs each splitting shape through every entry point and lists, one per
+/// line, those that never reached the pool ("ok" when all did).
+std::string unsplit_drives() {
+    Rng rng(4243);
+    std::string missed;
+    const std::pair<const char*, Shape> shapes[] = {
+        {"row-strip", kRowStripShape}, {"jc", kJcShape}, {"small-n", kSmallNShape}};
+    for (const auto& [drive, s] : shapes) {
+        const Matrix a = random_matrix(s.m, s.k, rng);
+        const Matrix b = random_matrix(s.k, s.n, rng);
+        const Matrix at = ops::transpose(a);
+        const Matrix bt = ops::transpose(b);
+        const ops::PackedGemmB packed = ops::pack_gemm_b(b);
+        const std::pair<const char*, std::function<Matrix()>> entries[] = {
+            {"matmul", [&] { return ops::matmul(a, b); }},
+            {"matmul_tn", [&] { return ops::matmul_tn(at, b); }},
+            {"matmul_nt", [&] { return ops::matmul_nt(a, bt); }},
+            {"matmul_packed", [&] { return ops::matmul_packed(a, packed); }}};
+        for (const auto& [entry, run] : entries) {
+            const std::size_t before = kinet::parallel_for_split_count();
+            (void)run();
+            if (kinet::parallel_for_split_count() == before) {
+                missed += std::string(drive) + " " + entry + "\n";
+            }
+        }
+    }
+    return missed.empty() ? "ok\n" : missed;
+}
+
+/// Path of this test binary, or "" where /proc/self/exe is unavailable.
+std::string self_exe() {
     char exe[4096];
     const ssize_t len = readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    if (len <= 0) {
+    return len > 0 ? std::string(exe, static_cast<std::size_t>(len)) : std::string();
+}
+
+/// Re-executes this binary as `env <exe> flag` and returns its stdout.  The
+/// pool size is latched at first use, so each thread count needs a fresh
+/// process.
+std::string run_self(const std::string& env, const std::string& flag) {
+    const std::string cmd = env + " '" + self_exe() + "' " + flag + " 2>/dev/null";
+    FILE* pipe = popen(cmd.c_str(), "r");
+    if (pipe == nullptr) {
+        return "popen failed";
+    }
+    std::string out;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+        out += buf;
+    }
+    const int rc = pclose(pipe);
+    if (rc != 0) {
+        out += "exit status " + std::to_string(rc) + "\n";
+    }
+    return out;
+}
+
+TEST(Gemm, ThreadIdentityShapesSplitOnEveryDrive) {
+    // The splitting shapes must reach the pool at 4 threads on both
+    // kernels, or a larger kGemmMinFlopsPerChunk (or a new tile) would
+    // quietly turn the 1-vs-4-thread check below into a serial one.
+    if (self_exe().empty()) {
         GTEST_SKIP() << "cannot resolve own binary path";
     }
-    exe[len] = '\0';
-    std::string hashes[2];
-    const char* counts[2] = {"1", "4"};
-    for (int i = 0; i < 2; ++i) {
-        const std::string cmd = std::string("KINET_NUM_THREADS=") + counts[i] + " '" + exe +
-                                "' --gemm-workload-hash 2>/dev/null";
-        FILE* pipe = popen(cmd.c_str(), "r");
-        ASSERT_NE(pipe, nullptr);
-        char line[64] = {};
-        const bool got = std::fgets(line, sizeof(line), pipe) != nullptr;
-        const int rc = pclose(pipe);
-        ASSERT_TRUE(got) << "no hash from child with KINET_NUM_THREADS=" << counts[i];
-        ASSERT_EQ(rc, 0) << "child failed with KINET_NUM_THREADS=" << counts[i];
-        hashes[i] = line;
+    for (const std::string kernel : {"", "KINET_GEMM_KERNEL=generic "}) {
+        EXPECT_EQ(run_self(kernel + "KINET_NUM_THREADS=4", "--gemm-unsplit-drives"), "ok\n")
+            << "with '" << kernel << "'";
     }
-    EXPECT_FALSE(hashes[0].empty());
-    EXPECT_EQ(hashes[0], hashes[1]) << "results differ between 1 and 4 threads";
+}
+
+TEST(Gemm, BitIdenticalAcrossThreadCounts) {
+    if (self_exe().empty()) {
+        GTEST_SKIP() << "cannot resolve own binary path";
+    }
+    const std::string one = run_self("KINET_NUM_THREADS=1", "--gemm-workload-hash");
+    const std::string four = run_self("KINET_NUM_THREADS=4", "--gemm-workload-hash");
+    EXPECT_EQ(one.size(), 17U) << "no hash from the 1-thread child: " << one;
+    EXPECT_EQ(one, four) << "results differ between 1 and 4 threads";
 }
 
 }  // namespace
 
-// Custom main: `--gemm-workload-hash` turns the binary into the child side
-// of the thread-identity test (prints the workload hash and exits).
+// Custom main: `--gemm-workload-hash` and `--gemm-unsplit-drives` turn the
+// binary into the child side of the thread-identity tests (print and exit).
 int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--gemm-workload-hash") {
             std::printf("%016llx\n", static_cast<unsigned long long>(workload_hash()));
+            return 0;
+        }
+        if (std::string(argv[i]) == "--gemm-unsplit-drives") {
+            std::fputs(unsplit_drives().c_str(), stdout);
             return 0;
         }
     }

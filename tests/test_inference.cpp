@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -132,25 +133,34 @@ TEST(SmallNGemm, NoPadPathMatchesPaddedEngineBitwise) {
 TEST(JcParallelGemm, ColumnPartitionDoesNotChangePerRowMath) {
     // m tiny + n wide selects the jc-parallel drive; every row must still
     // be bitwise-identical to the same row inside a tall product that
-    // takes the row-partition path.
+    // takes the row-partition path.  The first shape spans two kGemmNC
+    // column panels on the row-path side (its jc > 0 loop); the second has
+    // k deep enough that the jc drive itself splits at 4 threads.
+    struct Shape {
+        std::size_t m, k, n, tall_m;
+    };
     Rng rng(306);
-    const Matrix a_small = random_matrix(4, 64, rng);
-    const Matrix b = random_matrix(64, 2048, rng);
-    const Matrix c_jc = ops::matmul(a_small, b);
-    Matrix a_big = random_matrix(396, 64, rng);
-    for (std::size_t c = 0; c < a_small.cols(); ++c) {
+    for (const Shape s : {Shape{4, 64, 2048, 396}, Shape{12, 1024, 512, 132}}) {
+        SCOPED_TRACE("m=" + std::to_string(s.m) + " k=" + std::to_string(s.k) +
+                     " n=" + std::to_string(s.n));
+        const Matrix a_small = random_matrix(s.m, s.k, rng);
+        const Matrix b = random_matrix(s.k, s.n, rng);
+        const Matrix c_jc = ops::matmul(a_small, b);
+        Matrix a_big = random_matrix(s.tall_m, s.k, rng);
+        for (std::size_t c = 0; c < a_small.cols(); ++c) {
+            for (std::size_t r = 0; r < a_small.rows(); ++r) {
+                a_big(r, c) = a_small(r, c);
+            }
+        }
+        const Matrix c_big = ops::matmul(a_big, b);
         for (std::size_t r = 0; r < a_small.rows(); ++r) {
-            a_big(r, c) = a_small(r, c);
+            for (std::size_t c = 0; c < b.cols(); ++c) {
+                ASSERT_EQ(c_jc(r, c), c_big(r, c)) << "at (" << r << "," << c << ")";
+            }
         }
+        // And the packed drive agrees on the same shape.
+        EXPECT_EQ(ops::matmul_packed(a_small, ops::pack_gemm_b(b)), c_jc);
     }
-    const Matrix c_big = ops::matmul(a_big, b);
-    for (std::size_t r = 0; r < a_small.rows(); ++r) {
-        for (std::size_t c = 0; c < b.cols(); ++c) {
-            ASSERT_EQ(c_jc(r, c), c_big(r, c)) << "at (" << r << "," << c << ")";
-        }
-    }
-    // And the packed drive agrees on the same shape.
-    EXPECT_EQ(ops::matmul_packed(a_small, ops::pack_gemm_b(b)), c_jc);
 }
 
 // ------------------------------------------------- nn forward_inference

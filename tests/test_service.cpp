@@ -534,6 +534,8 @@ TEST_F(ServerTest, StreamingSampleReassemblesToTheFramedResponse) {
         EXPECT_EQ(rows, kRows) << "chunk=" << chunk;
         EXPECT_EQ(reassembled, framed) << "chunk=" << chunk;
     }
+    // A zero-row framed SAMPLE is exactly the header line.
+    EXPECT_EQ(client.sample_csv("site-0", 0, 77), framed.substr(0, framed.find('\n') + 1));
     // Conditional streaming matches the framed conditional response too.
     const std::string cond_framed = client.sample_csv("site-0", 64, 9, "protocol:TCP");
     std::string cond_streamed;

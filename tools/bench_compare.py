@@ -3,9 +3,11 @@
 
 Compares the current `bench_micro --json` output against a baseline from a
 previous CI run and fails (exit 1) when any benchmark present in both
-reports regressed by more than the threshold.  Benchmarks that exist in
-only one report are listed but never fail the gate (renames/additions must
-not block CI), and improvements are reported for free.
+reports regressed by more than the threshold.  Benchmarks registered with
+UseRealTime() are gated on wall time, the rest on cpu time.  Benchmarks
+that exist in only one report are listed but never fail the gate
+(renames/additions must not block CI), and improvements are reported for
+free.
 
 Usage:
     bench_compare.py BASELINE.json CURRENT.json [--threshold 0.15]
@@ -29,25 +31,37 @@ import sys
 _TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
+def gated_time_key(name):
+    """The time a benchmark is gated on.
+
+    Benchmarks registered with UseRealTime() (google-benchmark appends
+    "/real_time" to their names) are gated on wall time: their work may run
+    on pool threads, so the calling thread's cpu_time rises whenever a
+    product stops fanning out, even when the wall time falls.  All others
+    keep cpu_time, which is steadier under runner load.
+    """
+    return "real_time" if "/real_time" in name else "cpu_time"
+
+
 def load_times(path):
-    """name -> (cpu_time in ns, items_per_second or None).
+    """name -> (gated time in ns, items_per_second or None).
 
     When the report was produced with --benchmark_repetitions, the `median`
     aggregate is used (much less noisy than any single repetition);
     otherwise the plain per-benchmark rows are.  Mean/stddev/cv aggregates
     are always skipped.  items_per_second (e.g. BM_SampleThroughput's
     rows/s) is carried so throughput benchmarks are gated on the number
-    they exist to report, not only on cpu time.
+    they exist to report, not only on time.
     """
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     singles = {}
     medians = {}
     for entry in report.get("benchmarks", []):
-        cpu = entry.get("cpu_time")
-        if cpu is None:
+        t = entry.get(gated_time_key(entry.get("run_name") or entry.get("name", "")))
+        if t is None:
             continue
-        ns = cpu * _TIME_UNIT_NS.get(entry.get("time_unit", "ns"), 1.0)
+        ns = t * _TIME_UNIT_NS.get(entry.get("time_unit", "ns"), 1.0)
         value = (ns, entry.get("items_per_second"))
         if entry.get("run_type") == "aggregate" or "aggregate_name" in entry:
             if entry.get("aggregate_name") == "median" and entry.get("run_name"):
@@ -112,9 +126,9 @@ def main():
             # report (a slowdown is base/current - 1, same sign convention
             # as the time ratio; BM_ServerConnections' client-side cpu_time
             # is additionally meaningless — the work runs in the server's
-            # threads).  Everything else stays on median cpu_time: the
-            # FLOPS benchmarks also emit items_per_second, but theirs
-            # derives from real time, which inflates under runner load.
+            # threads).  Everything else is gated on its median time
+            # (gated_time_key): wall time for UseRealTime() benchmarks,
+            # cpu_time otherwise.
             delta = base_ips / cur_ips - 1.0 if cur_ips > 0 else float("inf")
             shown = f"{base_ips:>12.3g} -> {cur_ips:>12.3g} it/s"
         else:
