@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -296,6 +297,25 @@ void BM_SampleThroughputStreaming(benchmark::State& state) {
                             static_cast<std::int64_t>(kRows));
 }
 BENCHMARK(BM_SampleThroughputStreaming)->UseRealTime();
+
+// Rows/s of the sampling stream alone: the condition draws, noise and
+// Gumbel draws of one 128-row lab generation batch — the RNG stage every
+// served row pays before the generator runs.
+void BM_SampleStreamFill(benchmark::State& state) {
+    const auto& model = sample_bench_model(false);
+    const std::size_t batch = model.options().gan.batch_size;
+    core::KiNetGan::SampleBatchInputs inputs;
+    std::uint64_t row0 = 0;
+    for (auto _ : state) {
+        model.produce_sample_batch(row0, batch, 0x5eed, std::nullopt, inputs);
+        row0 += batch;
+        benchmark::DoNotOptimize(inputs.input.data().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_SampleStreamFill)->UseRealTime();
 
 // Rows/s of the serving path's CSV writer alone: a sampled lab table
 // written straight into a reused buffer, as each SAMPLE chunk is.

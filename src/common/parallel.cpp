@@ -30,8 +30,6 @@ std::size_t hardware_threads() {
 }
 
 namespace {
-/// The Impl whose worker_loop the current thread is running, if any.
-thread_local const void* t_worker_pool = nullptr;
 /// Global-pool parallel_for calls that ran as more than one chunk.
 std::atomic<std::size_t> g_split_calls{0};
 }  // namespace
@@ -51,7 +49,6 @@ struct ThreadPool::Impl {
     bool stop KINET_GUARDED_BY(mu) = false;
 
     void worker_loop() {
-        t_worker_pool = this;
         for (;;) {
             std::function<void()> task;
             {
@@ -185,8 +182,6 @@ void ThreadPool::submit(std::function<void()> task) {
     }
     impl_->cv.notify_one();
 }
-
-bool ThreadPool::on_worker_thread() const noexcept { return t_worker_pool == impl_.get(); }
 
 ThreadPool& ThreadPool::global() {
     static ThreadPool pool(hardware_threads());

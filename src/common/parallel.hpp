@@ -58,12 +58,6 @@ public:
     /// Exceptions escaping the task terminate the process — catch inside.
     void submit(std::function<void()> task);
 
-    /// True when the calling thread is one of this pool's worker threads.
-    /// Code that wants to submit() work and wait for it must check this
-    /// first and fall back to running inline — a pool worker waiting on a
-    /// submitted task is the deadlock the submit() contract forbids.
-    [[nodiscard]] bool on_worker_thread() const noexcept;
-
     /// Process-wide pool of hardware_threads() lanes, started on first use.
     static ThreadPool& global();
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 
 #include "src/common/check.hpp"
 #include "src/common/parallel.hpp"
+#include "src/common/philox.hpp"
 #include "src/common/stopwatch.hpp"
 #include "src/tensor/ops.hpp"
 
@@ -510,171 +510,100 @@ namespace {
 /// Decorrelates request-stream seeds from the training seed space.
 constexpr std::uint64_t kStreamSeedSalt = 0x9e3779b97f4a7c15ULL;
 
+constexpr std::size_t blocks_for(std::size_t words) {
+    return (words + philox::kBlockWords - 1) / philox::kBlockWords;
+}
+
 }  // namespace
 
 void KiNetGan::produce_sample_batch(
-    std::size_t b, Rng& rng, const std::optional<std::pair<std::size_t, std::size_t>>& pin,
-    std::vector<data::CondDraw>& draws, SampleBatchInputs& out) const {
+    std::uint64_t row0, std::size_t b, std::uint64_t key,
+    const std::optional<std::pair<std::size_t, std::size_t>>& pin,
+    SampleBatchInputs& out) const {
     const std::size_t noise_dim = options_.gan.noise_dim;
     const std::size_t cond_width = cond_builder_->width();
-    draws.clear();
-    draws.reserve(b);
-    for (std::size_t i = 0; i < b; ++i) {
-        // Empirical conditions restore the original data distribution.
-        draws.push_back(sampler_->draw_empirical(rng));
-        if (pin.has_value()) {
-            draws.back().values[pin->first] = pin->second;
+    const auto& spans = transformer_.spans();
+    std::size_t softmax_width = 0;
+    for (const auto& span : spans) {
+        if (span.kind != data::SpanKind::continuous_alpha) {
+            softmax_width += span.width;
         }
     }
+    // Block 0 is the condition, then the noise blocks, then the Gumbel blocks.
+    const std::size_t gumbel_block = 1 + blocks_for(noise_dim);
+    const std::size_t row_blocks = gumbel_block + blocks_for(softmax_width);
+    const std::size_t row_words = row_blocks * philox::kBlockWords;
+
+    out.words.resize(b * row_words);
+    philox::fill_rows(key, row0, b, row_blocks, out.words.data());
     out.input.resize_for_overwrite(b, noise_dim + cond_width);
+    out.gumbel.resize_for_overwrite(b, transformer_.output_width());
     for (std::size_t r = 0; r < b; ++r) {
+        const std::uint32_t* words = out.words.data() + r * row_words;
         auto row = out.input.row(r);
-        for (std::size_t c = 0; c < noise_dim; ++c) {
-            row[c] = static_cast<float>(rng.normal());
-        }
-    }
-    // One-hot condition blocks written straight into the input — what
-    // CondVectorBuilder::encode + hcat produced, minus the temporaries.
-    for (std::size_t r = 0; r < b; ++r) {
-        auto row = out.input.row(r);
+        // Empirical conditions restore the original data distribution; the
+        // one-hot blocks are written straight from the drawn row's values.
+        const auto values =
+            sampler_->draw_empirical_values(std::span<const std::uint32_t, 4>(words, 4));
+        philox::normals(words + philox::kBlockWords, noise_dim, row.data());
         std::fill(row.begin() + static_cast<std::ptrdiff_t>(noise_dim), row.end(), 0.0F);
-        const auto& values = draws[r].values;
         for (std::size_t p = 0; p < values.size(); ++p) {
-            KINET_CHECK(values[p] < cond_builder_->block_width(p),
+            const std::size_t value =
+                (pin.has_value() && pin->first == p) ? pin->second : values[p];
+            KINET_CHECK(value < cond_builder_->block_width(p),
                         "sample: condition value out of range");
-            row[noise_dim + cond_builder_->block_offset(p) + values[p]] = 1.0F;
+            row[noise_dim + cond_builder_->block_offset(p) + value] = 1.0F;
+        }
+        auto noise = out.gumbel.row(r);
+        const std::uint32_t* draw = words + gumbel_block * philox::kBlockWords;
+        for (const auto& span : spans) {
+            if (span.kind == data::SpanKind::continuous_alpha) {
+                noise[span.offset] = 0.0F;  // tanh slots read no noise
+            } else {
+                philox::gumbels(draw, span.width, noise.data() + span.offset);
+                draw += span.width;
+            }
         }
     }
-    g_act_->draw_noise(b, transformer_.output_width(), rng, out.gumbel);
-    out.rows = b;
 }
 
-void KiNetGan::sample_stream_impl(std::size_t n, Rng& rng,
+void KiNetGan::sample_stream_impl(std::size_t n, std::uint64_t key,
                                   const std::optional<std::pair<std::size_t, std::size_t>>& pin,
                                   std::size_t chunk_rows, const SampleSink& sink) const {
     KINET_CHECK(fitted_, "KiNetGan::sample before fit");
     KINET_CHECK(sink != nullptr, "KiNetGan::sample_stream: null sink");
-
-    const std::size_t batch = options_.gan.batch_size;
-
-    // Everything mutable lives in this call frame — per-request context,
-    // activation/noise/decode buffers, chunk assembly — so the const model
-    // serves any number of concurrent streams, and every buffer is reused
-    // across generation batches (allocation-free once warm).  Memory is
-    // O(batch + chunk) however large n is.
-    nn::InferenceContext ctx;
-    Matrix output;  // trunk logits, activated in place
-    Matrix raw;     // decoded numeric rows
-    data::Table decoded(schema_);
-    data::Table pending(schema_);
-    std::vector<data::CondDraw> draws;
-
-    // Batch inputs are produced one batch ahead of the compute that
-    // consumes them, so the (inherently serial) RNG hides behind the
-    // parallel GEMMs on multi-core hosts.
-    SampleBatchInputs cur;
-    SampleBatchInputs next;
-
-    const auto produce = [&](std::size_t b, SampleBatchInputs& out) {
-        produce_sample_batch(b, rng, pin, draws, out);
-    };
-
-    // Pipelining draws batch k+1 on a pool worker while batch k computes —
-    // but waiting on a submitted task from a pool worker is the deadlock
-    // the submit() contract forbids (framed SAMPLE handlers *are*
-    // submitted tasks), and a single-lane pool runs the task inline
-    // anyway, so those callers produce inline instead.  Either way the
-    // draw order is identical: the producer is the sole rng user and
-    // batches are produced strictly in order.
-    const bool pipeline =
-        ThreadPool::global().size() > 1 && !ThreadPool::global().on_worker_thread();
-
-    // Generation batches are always the training batch size and the random
-    // stream is consumed in the exact order of the historical sampling
-    // loop, so the output is bit-identical for every chunk_rows (chunking
-    // only re-frames rows), every thread count (the kernels' determinism
-    // contract), and with or without the producer running ahead.
-    std::size_t remaining = n;
-    if (remaining > 0) {
-        produce(std::min(batch, remaining), cur);
-    }
-    while (remaining > 0) {
-        const std::size_t b = cur.rows;
-        const std::size_t next_b = std::min(batch, remaining - b);
-        std::future<void> ahead;
-        if (next_b > 0 && pipeline) {
-            // Draw batch k+1's inputs while batch k computes.  The task is
-            // shared with the closure for the same reason as the server's
-            // request tasks: get() can unblock while the worker is still
-            // returning from operator().
-            auto task = std::make_shared<std::packaged_task<void()>>(
-                [&produce, next_b, &next] { produce(next_b, next); });
-            ahead = task->get_future();
-            ThreadPool::global().submit([task] { (*task)(); });
-        }
-
-        try {
-            g_trunk_->forward_inference(cur.input, output, ctx);
-            g_act_->apply_spans(output, cur.gumbel);
-            transformer_.inverse_into(output, raw, decoded);
-
-            if (chunk_rows == 0) {
-                sink(decoded);
-            } else {
-                std::size_t pos = 0;
-                while (pos < decoded.rows()) {
-                    const std::size_t take =
-                        std::min(chunk_rows - pending.rows(), decoded.rows() - pos);
-                    pending.append_row_range(decoded, pos, pos + take);
-                    pos += take;
-                    if (pending.rows() == chunk_rows) {
-                        sink(pending);
-                        pending.clear_rows();
-                    }
-                }
-            }
-        } catch (...) {
-            // The producer references this frame; it must finish before the
-            // exception unwinds it.
-            if (ahead.valid()) {
-                ahead.wait();
-            }
-            throw;
-        }
-        remaining -= b;
-        if (ahead.valid()) {
-            ahead.get();
-            std::swap(cur, next);
-        } else if (remaining > 0) {
-            produce(std::min(batch, remaining), cur);
-        }
-    }
-    if (pending.rows() > 0) {
-        sink(pending);
-        pending.clear_rows();
+    // Rows are a function of (key, row index) alone and the kernels are
+    // deterministic at any thread count, so the output is bit-identical for
+    // every chunk_rows (chunking only re-frames rows) and every pool size.
+    StreamCursor cursor(*this, n, key, chunk_rows, pin);
+    while (const data::Table* chunk = cursor.next()) {
+        sink(*chunk);
     }
 }
 
 data::Table KiNetGan::sample_collect(
-    std::size_t n, Rng& rng, const std::optional<std::pair<std::size_t, std::size_t>>& pin) const {
+    std::size_t n, std::uint64_t key,
+    const std::optional<std::pair<std::size_t, std::size_t>>& pin) const {
     data::Table out(schema_);
-    sample_stream_impl(n, rng, pin, 0, [&out](const data::Table& chunk) {
+    sample_stream_impl(n, key, pin, 0, [&out](const data::Table& chunk) {
         out.append_rows(chunk);
     });
     return out;
 }
 
-data::Table KiNetGan::sample(std::size_t n) { return sample_collect(n, rng_, std::nullopt); }
+data::Table KiNetGan::sample(std::size_t n) {
+    // One word of the model's stream keys the request, so a load()ed model
+    // stays in lockstep with the instance it was saved from.
+    return sample_collect(n, rng_.engine()(), std::nullopt);
+}
 
 data::Table KiNetGan::sample_seeded(std::size_t n, std::uint64_t stream_seed) const {
-    Rng rng(stream_seed ^ kStreamSeedSalt);
-    return sample_collect(n, rng, std::nullopt);
+    return sample_collect(n, stream_seed ^ kStreamSeedSalt, std::nullopt);
 }
 
 void KiNetGan::sample_seeded_stream(std::size_t n, std::uint64_t stream_seed,
                                     std::size_t chunk_rows, const SampleSink& sink) const {
-    Rng rng(stream_seed ^ kStreamSeedSalt);
-    sample_stream_impl(n, rng, std::nullopt, chunk_rows, sink);
+    sample_stream_impl(n, stream_seed ^ kStreamSeedSalt, std::nullopt, chunk_rows, sink);
 }
 
 std::pair<std::size_t, std::size_t> KiNetGan::resolve_conditional_pin(
@@ -698,8 +627,7 @@ data::Table KiNetGan::sample_conditional_seeded(std::size_t n, const std::string
                                                 const std::string& value,
                                                 std::uint64_t stream_seed) const {
     const auto pin = resolve_conditional_pin(column, value);
-    Rng rng(stream_seed ^ kStreamSeedSalt);
-    return sample_collect(n, rng, pin);
+    return sample_collect(n, stream_seed ^ kStreamSeedSalt, pin);
 }
 
 void KiNetGan::sample_conditional_seeded_stream(std::size_t n, const std::string& column,
@@ -708,25 +636,23 @@ void KiNetGan::sample_conditional_seeded_stream(std::size_t n, const std::string
                                                 std::size_t chunk_rows,
                                                 const SampleSink& sink) const {
     const auto pin = resolve_conditional_pin(column, value);
-    Rng rng(stream_seed ^ kStreamSeedSalt);
-    sample_stream_impl(n, rng, pin, chunk_rows, sink);
+    sample_stream_impl(n, stream_seed ^ kStreamSeedSalt, pin, chunk_rows, sink);
 }
 
-KiNetGan::StreamCursor::StreamCursor(const KiNetGan& model, std::size_t n,
-                                     std::uint64_t stream_seed, std::size_t chunk_rows,
+KiNetGan::StreamCursor::StreamCursor(const KiNetGan& model, std::size_t n, std::uint64_t key,
+                                     std::size_t chunk_rows,
                                      std::optional<std::pair<std::size_t, std::size_t>> pin)
     : model_(&model),
       pin_(pin),
       chunk_rows_(chunk_rows),
       remaining_(n),
-      rng_(stream_seed ^ kStreamSeedSalt),
+      key_(key),
       decoded_(model.schema_),
       pending_(model.schema_) {}
 
 const data::Table* KiNetGan::StreamCursor::next() {
     const KiNetGan& m = *model_;
     pending_.clear_rows();  // the buffer handed out by the previous call
-    const std::size_t batch = m.options_.gan.batch_size;
     for (;;) {
         // Drain what the last generation batch left over.
         while (decoded_pos_ < decoded_.rows() && pending_.rows() < chunk_rows_) {
@@ -735,23 +661,25 @@ const data::Table* KiNetGan::StreamCursor::next() {
             pending_.append_row_range(decoded_, decoded_pos_, decoded_pos_ + take);
             decoded_pos_ += take;
         }
-        if (pending_.rows() == chunk_rows_) {
+        if (chunk_rows_ > 0 && pending_.rows() == chunk_rows_) {
             return &pending_;
         }
         if (remaining_ == 0) {
             // Final (short) chunk, or a fully drained stream.
             return pending_.rows() > 0 ? &pending_ : nullptr;
         }
-        // Generate the next batch — same batch sizing and RNG order as the
-        // push-based sampler, just without the look-ahead producer (the
-        // cursor is the suspendable path; serial keeps it re-entrant).
-        const std::size_t b = std::min(batch, remaining_);
-        m.produce_sample_batch(b, rng_, pin_, draws_, batch_);
+        const std::size_t b = std::min(m.options_.gan.batch_size, remaining_);
+        m.produce_sample_batch(next_row_, b, key_, pin_, batch_);
         m.g_trunk_->forward_inference(batch_.input, output_, ctx_);
         m.g_act_->apply_spans(output_, batch_.gumbel);
         m.transformer_.inverse_into(output_, raw_, decoded_);
-        decoded_pos_ = 0;
+        next_row_ += b;
         remaining_ -= b;
+        if (chunk_rows_ == 0) {
+            decoded_pos_ = decoded_.rows();
+            return &decoded_;
+        }
+        decoded_pos_ = 0;
     }
 }
 
@@ -765,7 +693,7 @@ std::unique_ptr<KiNetGan::StreamCursor> KiNetGan::open_sample_cursor(
         pin = resolve_conditional_pin(cond_column, cond_value);
     }
     return std::unique_ptr<StreamCursor>(
-        new StreamCursor(*this, n, stream_seed, chunk_rows, pin));
+        new StreamCursor(*this, n, stream_seed ^ kStreamSeedSalt, chunk_rows, pin));
 }
 
 void KiNetGan::save(bytes::Writer& out) {

@@ -15,6 +15,7 @@
 #ifndef KINETGAN_CORE_KINETGAN_H
 #define KINETGAN_CORE_KINETGAN_H
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -51,17 +52,6 @@ struct KiNetGanOptions {
 };
 
 class KiNetGan : public gan::Synthesizer {
-    /// The serial random-stream work one generation batch consumes: the
-    /// [z ⊕ C] input block and the activation's Gumbel matrix, drawn in
-    /// exactly the historical order (conditions, then noise, then Gumbel).
-    /// Shared by the push-based streaming sampler and the pull-based
-    /// StreamCursor so both consume the RNG identically.
-    struct SampleBatchInputs {
-        nn::Matrix input;   // [z ⊕ C]
-        nn::Matrix gumbel;  // pre-drawn activation noise
-        std::size_t rows = 0;
-    };
-
 public:
     /// `oracle` is the compiled KG validity oracle for the table's domain;
     /// `cond_columns` are the conditional attributes (categorical columns).
@@ -81,10 +71,12 @@ public:
     [[nodiscard]] data::Table sample(std::size_t n) override;
     [[nodiscard]] std::string name() const override { return "KiNETGAN"; }
 
-    /// Samples from an isolated per-request random stream derived from
+    /// Samples from an isolated per-request random stream keyed by
     /// `stream_seed` — the model's internal RNG and two calls with different
     /// seeds are all mutually independent, so concurrent service clients get
-    /// deterministic, non-overlapping streams.  Runs on the inference fast
+    /// deterministic, non-overlapping streams.  Row i is a pure function of
+    /// (model, seed, i): the first m rows of sample_seeded(n, s) are
+    /// sample_seeded(m, s) for every m <= n.  Runs on the inference fast
     /// path (const networks, per-call workspaces), so any number of seeded
     /// samples may run concurrently on one fitted model.
     [[nodiscard]] data::Table sample_seeded(std::size_t n, std::uint64_t stream_seed) const;
@@ -118,19 +110,41 @@ public:
                                           const std::string& value, std::uint64_t stream_seed,
                                           std::size_t chunk_rows, const SampleSink& sink) const;
 
-    /// A pull-based resumable streaming sample.  Each next() call generates
-    /// just enough batches to fill one chunk, then suspends — no thread is
-    /// held between calls, which is what lets an event-driven server park a
-    /// stream whose client stopped reading.  The concatenated chunks are
-    /// bit-identical to sample_seeded_stream with the same (n, seed,
-    /// chunk_rows): the cursor replays the exact RNG draw order, serially.
+    /// The random inputs of one generation batch, drawn from the
+    /// counter-based sampling stream: the [z ⊕ C] input block and the
+    /// activation's Gumbel matrix, plus the reused buffers they are made
+    /// from.
+    struct SampleBatchInputs {
+        std::vector<std::uint32_t> words;  // Philox blocks of the batch's rows
+        nn::Matrix input;                  // [z ⊕ C]
+        nn::Matrix gumbel;                 // activation noise (zero in tanh slots)
+    };
+
+    /// Draws the random inputs of stream rows [row0, row0 + b) under `key`
+    /// (docs/protocol.md, "Sampling stream"): per row, block 0 picks the
+    /// condition, the next ceil(noise_dim / 4) blocks are the noise, and
+    /// the rest are Gumbel draws for the softmax spans only.  `pin`
+    /// optionally fixes one conditional block to (position in
+    /// cond_columns_, value id).  This is the RNG stage of every sampling
+    /// path; it is public so bench_micro can time it alone.
+    void produce_sample_batch(std::uint64_t row0, std::size_t b, std::uint64_t key,
+                              const std::optional<std::pair<std::size_t, std::size_t>>& pin,
+                              SampleBatchInputs& out) const;
+
+    /// A pull-based resumable streaming sample — the one sampling loop every
+    /// entry point runs.  Each next() call generates just enough batches to
+    /// fill one chunk, then suspends — no thread is held between calls,
+    /// which is what lets an event-driven server park a stream whose client
+    /// stopped reading.  The concatenated chunks are bit-identical to
+    /// sample_seeded_stream with the same (n, seed), whatever chunk_rows.
     /// The cursor borrows the model — keep the KiNetGan alive — and a single
     /// cursor must not be advanced concurrently, but independent cursors
     /// share no mutable state and may run in parallel on one fitted model.
     class StreamCursor {
     public:
         /// Returns the next chunk (exactly chunk_rows rows until the final,
-        /// possibly short, chunk) or nullptr once exhausted.  The Table is a
+        /// possibly short, chunk; one generation batch per call when
+        /// chunk_rows is 0) or nullptr once exhausted.  The Table is a
         /// reused internal buffer, valid until the next call.
         [[nodiscard]] const data::Table* next();
 
@@ -141,15 +155,16 @@ public:
 
     private:
         friend class KiNetGan;
-        StreamCursor(const KiNetGan& model, std::size_t n, std::uint64_t stream_seed,
+        StreamCursor(const KiNetGan& model, std::size_t n, std::uint64_t key,
                      std::size_t chunk_rows,
                      std::optional<std::pair<std::size_t, std::size_t>> pin);
 
         const KiNetGan* model_;
         std::optional<std::pair<std::size_t, std::size_t>> pin_;
-        std::size_t chunk_rows_;
-        std::size_t remaining_;  // rows not yet generated
-        Rng rng_;
+        std::size_t chunk_rows_;  // 0: one chunk per generation batch
+        std::size_t remaining_;   // rows not yet generated
+        std::uint64_t key_;       // sampling-stream key
+        std::uint64_t next_row_ = 0;  // stream row index of the next batch
         // Reused per-cursor workspaces (the const model never mutates).
         nn::InferenceContext ctx_;
         nn::Matrix output_;
@@ -157,7 +172,6 @@ public:
         data::Table decoded_;        // last generation batch, decoded
         std::size_t decoded_pos_ = 0;  // rows of decoded_ already chunked
         data::Table pending_;        // chunk under assembly / last returned
-        std::vector<data::CondDraw> draws_;
         SampleBatchInputs batch_;
     };
 
@@ -210,22 +224,15 @@ private:
     /// (position in cond_columns_, value id); throws on unknown column/label.
     [[nodiscard]] std::pair<std::size_t, std::size_t> resolve_conditional_pin(
         const std::string& column, const std::string& value) const;
-    /// Draws one generation batch's random inputs (conditions → noise →
-    /// Gumbel, the pinned RNG order every sampling path must follow);
-    /// `draws` is a reusable scratch vector.
-    void produce_sample_batch(std::size_t b, Rng& rng,
-                              const std::optional<std::pair<std::size_t, std::size_t>>& pin,
-                              std::vector<data::CondDraw>& draws, SampleBatchInputs& out) const;
-    /// Shared sampling loop on the inference fast path; `pin` optionally
-    /// fixes one conditional block to (position in cond_columns_, value id).
-    /// Const and thread-safe: all mutable state lives in per-call
-    /// workspaces or the caller's Rng, so concurrent streams never touch.
-    void sample_stream_impl(std::size_t n, Rng& rng,
+    /// Runs a StreamCursor over rows [0, n) of the stream `key` into
+    /// `sink`.  Const and thread-safe: all mutable state lives in the
+    /// cursor, so concurrent streams never touch.
+    void sample_stream_impl(std::size_t n, std::uint64_t key,
                             const std::optional<std::pair<std::size_t, std::size_t>>& pin,
                             std::size_t chunk_rows, const SampleSink& sink) const;
     /// sample_stream_impl collected into one Table.
     [[nodiscard]] data::Table sample_collect(
-        std::size_t n, Rng& rng,
+        std::size_t n, std::uint64_t key,
         const std::optional<std::pair<std::size_t, std::size_t>>& pin) const;
 
     [[nodiscard]] nn::Matrix extract_kg_attrs(const nn::Matrix& encoded) const;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/check.hpp"
+#include "src/common/philox.hpp"
 
 namespace kinet::data {
 
@@ -158,6 +159,35 @@ CondDraw ConditionalSampler::draw_empirical(Rng& rng) const {
         rng.randint(0, static_cast<std::int64_t>(cond_columns_.size()) - 1));
     const std::size_t value_id = rng.categorical(freq_[col_pos]);
     return make_draw(col_pos, value_id, rng);
+}
+
+std::span<const std::size_t> ConditionalSampler::draw_empirical_values(
+    std::span<const std::uint32_t, 4> words) const {
+    const std::size_t col_pos = philox::pick(words[0], cond_columns_.size());
+    const auto& freq = freq_[col_pos];
+    KINET_CHECK(!freq.empty(), "ConditionalSampler: conditional column has no values");
+    // Additions and comparisons only, so no multiply-add contraction can
+    // move the walk.  A value of zero frequency never raises the running
+    // sum and so is never picked; the fallback covers a sum that rounds
+    // below u.
+    const double u = philox::uniform53(words[1], words[2]);
+    std::size_t value_id = freq.size();
+    double cumulative = 0.0;
+    for (std::size_t v = 0; v < freq.size(); ++v) {
+        cumulative += freq[v];
+        if (u < cumulative) {
+            value_id = v;
+            break;
+        }
+    }
+    if (value_id == freq.size()) {
+        do {
+            --value_id;
+        } while (value_id > 0 && freq[value_id] <= 0.0);
+    }
+    const auto& rows = rows_by_value_[col_pos][value_id];
+    KINET_CHECK(!rows.empty(), "ConditionalSampler: no rows carry the requested value");
+    return row_values_[rows[philox::pick(words[3], rows.size())]];
 }
 
 }  // namespace kinet::data

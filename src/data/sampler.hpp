@@ -9,6 +9,8 @@
 #ifndef KINETGAN_DATA_SAMPLER_H
 #define KINETGAN_DATA_SAMPLER_H
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/bytes.hpp"
@@ -43,6 +45,14 @@ public:
     /// boost) — used when sampling from a trained generator so the output
     /// matches the original data distribution (Sec. III-A).
     [[nodiscard]] CondDraw draw_empirical(Rng& rng) const;
+
+    /// draw_empirical on one block of the counter-based sampling stream:
+    /// words[0] picks the column (multiply-shift), the 53-bit uniform of
+    /// words[1..2] walks that column's cumulative empirical frequencies,
+    /// and words[3] picks a carrying row (multiply-shift).  Returns the
+    /// picked row's value id per conditional column, without copying.
+    [[nodiscard]] std::span<const std::size_t> draw_empirical_values(
+        std::span<const std::uint32_t, 4> words) const;
 
     [[nodiscard]] const std::vector<std::size_t>& cond_columns() const noexcept {
         return cond_columns_;

@@ -65,15 +65,6 @@ void OutputActivation::apply_spans(nn::Matrix& x, const nn::Matrix& noise) const
     }
 }
 
-void OutputActivation::forward_inference(nn::Matrix& x, Rng& rng,
-                                         nn::Matrix& noise_scratch) const {
-    // Identical stream consumption to forward(): the full noise matrix is
-    // drawn first (row-major), then each span is activated in declaration
-    // order — so a seeded stream produces the same bytes on either path.
-    draw_noise(x.rows(), x.cols(), rng, noise_scratch);
-    apply_spans(x, noise_scratch);
-}
-
 nn::Matrix OutputActivation::backward(const nn::Matrix& grad_out) {
     KINET_CHECK(grad_out.rows() == cached_output_.rows() &&
                     grad_out.cols() == cached_output_.cols(),

@@ -45,21 +45,14 @@ public:
     nn::Matrix forward(const nn::Matrix& input, bool training) override;
     nn::Matrix backward(const nn::Matrix& grad_out) override;
 
-    /// In-place inference twin of forward(): applies the span activations
-    /// to `x`, drawing Gumbel noise from the *caller's* stream into the
-    /// caller's scratch (same draw order as forward: full matrix first,
-    /// then spans).  Const and cache-free, so one activation serves any
-    /// number of concurrent seeded samplers; output is bitwise equal to
-    /// forward(x, false) fed from the same stream.
-    void forward_inference(nn::Matrix& x, Rng& rng, nn::Matrix& noise_scratch) const;
-
     /// Fills `noise` with the Gumbel matrix forward would draw for an
-    /// x.rows() x x.cols() batch — split out so a sampling pipeline can
-    /// produce the draws ahead of the compute that consumes them.
+    /// x.rows() x x.cols() batch, from the caller's stream.
     void draw_noise(std::size_t rows, std::size_t cols, Rng& rng, nn::Matrix& noise) const;
 
-    /// The activation itself over pre-drawn noise (the second half of
-    /// forward_inference).
+    /// In-place inference twin of forward() over pre-drawn noise: applies
+    /// the span activations to `x`, reading `noise` only in the softmax
+    /// spans.  Const and cache-free, so one activation serves any number
+    /// of concurrent samplers.
     void apply_spans(nn::Matrix& x, const nn::Matrix& noise) const;
 
 private:

@@ -959,6 +959,7 @@ Response SynthServer::handle_stats(const Request& request) {
     r.payload += kv_line("persisted_models",
                          std::to_string(store_ == nullptr ? 0 : store_->manifest().size()));
     r.payload += kv_line("recovered_models", std::to_string(recovered_models_.load()));
+    r.payload += kv_line("skipped_models", std::to_string(skipped_models_.load()));
     r.payload += kv_line("recovered_jobs", std::to_string(recovered_jobs_.load()));
     r.payload += kv_line("resubmitted_jobs", std::to_string(resubmitted_jobs_.load()));
     r.payload += kv_line("anti_entropy_rounds", std::to_string(anti_entropy_rounds_.load()));
@@ -1254,12 +1255,16 @@ void SynthServer::recover_state() {
     // Models first: every manifest entry is re-read, re-verified by its
     // container checksum, and admitted at its recorded revision.  A corrupt
     // or unreadable snapshot is dropped from the store rather than fatal —
-    // anti-entropy (or a re-train) heals it later.
+    // anti-entropy (or a re-train) heals it later.  An intact snapshot of
+    // another format version is skipped but kept, file and manifest entry,
+    // so the build that wrote it can still recover it.
     for (const auto& entry : store_->manifest()) {
         try {
             auto model = read_snapshot(store_->load(entry.name));
             registry_.put(entry.name, std::move(model), entry.revision);
             recovered_models_.fetch_add(1, std::memory_order_relaxed);
+        } catch (const SnapshotVersionError&) {
+            skipped_models_.fetch_add(1, std::memory_order_relaxed);
         } catch (const std::exception&) {
             store_->remove(entry.name);
         }

@@ -270,6 +270,7 @@ private:
     std::atomic<bool> crashed_{false};
     // Robustness counters surfaced by the global STATS payload.
     std::atomic<std::uint64_t> recovered_models_{0};
+    std::atomic<std::uint64_t> skipped_models_{0};
     std::atomic<std::uint64_t> recovered_jobs_{0};
     std::atomic<std::uint64_t> resubmitted_jobs_{0};
     std::atomic<std::uint64_t> anti_entropy_rounds_{0};

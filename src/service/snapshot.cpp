@@ -38,8 +38,9 @@ std::unique_ptr<core::KiNetGan> read_snapshot(std::string_view data) {
     }
     const std::uint32_t version = header.u32();
     if (version != kSnapshotVersion) {
-        throw Error("snapshot: unsupported format version " + std::to_string(version) +
-                    " (this build reads version " + std::to_string(kSnapshotVersion) + ")");
+        throw SnapshotVersionError("snapshot: unsupported format version " +
+                                   std::to_string(version) + " (this build reads version " +
+                                   std::to_string(kSnapshotVersion) + ")");
     }
     const auto payload_size = static_cast<std::size_t>(header.u64());
     const std::uint64_t expected_hash = header.u64();

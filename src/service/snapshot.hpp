@@ -17,12 +17,25 @@
 #include <string>
 #include <string_view>
 
+#include "src/common/check.hpp"
 #include "src/core/kinetgan.hpp"
 
 namespace kinet::service {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Format 2 serves rows from the counter-based sampling stream
+/// (src/common/philox.hpp).  This build refuses format 1 and older builds
+/// refuse format 2, so replicas on mixed builds never serve different
+/// bytes for the same seed.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::string_view kSnapshotMagic = "KNETSNAP";
+
+/// read_snapshot's refusal of an intact container written in another format
+/// version.  Unlike corruption it says nothing is wrong with the bytes, so
+/// recovery keeps such a file: the build that wrote it can still serve it.
+class SnapshotVersionError : public Error {
+public:
+    using Error::Error;
+};
 
 /// Serializes a fitted model into the container format.
 [[nodiscard]] std::string write_snapshot(core::KiNetGan& model);
@@ -33,7 +46,8 @@ inline constexpr std::string_view kSnapshotMagic = "KNETSNAP";
 [[nodiscard]] std::string wrap_snapshot_payload(std::string_view payload);
 
 /// Parses and validates a container; throws kinet::Error naming the failure
-/// (bad magic / unsupported version / truncation / checksum mismatch).
+/// (bad magic / truncation / checksum mismatch), or SnapshotVersionError for
+/// an unsupported format version.
 [[nodiscard]] std::unique_ptr<core::KiNetGan> read_snapshot(std::string_view data);
 
 /// File convenience wrappers.

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -46,6 +47,7 @@
 #include "src/service/persistence.hpp"
 #include "src/service/protocol.hpp"
 #include "src/service/server.hpp"
+#include "src/service/snapshot.hpp"
 #include "src/service/socket.hpp"
 
 namespace {
@@ -417,6 +419,57 @@ TEST(CrashRecovery, RegistryComesBackWarmWithGoldenSamples) {
     EXPECT_NE(stats.payload.find("recovered_models=1"), std::string::npos) << stats.payload;
     EXPECT_NE(stats.payload.find("persisted_models=1"), std::string::npos) << stats.payload;
     restarted.stop();
+}
+
+TEST(CrashRecovery, KeepsSnapshotsOfAnotherFormatVersion) {
+    // A store written by a build with another snapshot format must survive
+    // a restart on this one: the model is not served, but its file and
+    // manifest entry stay so that build can still recover it.  Corruption
+    // is still dropped.
+    const std::string dir = fresh_dir("recover_version");
+    ServerOptions options;
+    options.snapshot_dir = dir;
+    options.persist = true;
+    {
+        SynthServer server(options);
+        server.start();
+        const Response r = server.handle(
+            parse_request("TRAIN chaos-old records=300 sim-seed=5 epochs=2 gan-seed=9"));
+        ASSERT_TRUE(r.ok) << r.error;
+        server.crash_stop();
+    }
+    std::string old_format;
+    {
+        PersistentStore store(dir);
+        const auto manifest = store.manifest();
+        ASSERT_EQ(manifest.size(), 1U);
+        const std::string current = store.load("chaos-old");
+        old_format = current;
+        const std::uint32_t version = kSnapshotVersion - 1;
+        std::memcpy(old_format.data() + kSnapshotMagic.size(), &version, sizeof(version));
+        store.store(manifest[0], old_format);
+        std::string corrupt = current;
+        corrupt.back() = static_cast<char>(corrupt.back() ^ 0x5a);
+        store.store(DigestEntry{"chaos-bad", 1, 0, 0}, corrupt);
+    }
+
+    ServerOptions recover = options;
+    recover.recover = true;
+    SynthServer restarted(recover);
+    restarted.start();
+    EXPECT_EQ(restarted.registry().get("chaos-old"), nullptr);
+    EXPECT_EQ(restarted.registry().get("chaos-bad"), nullptr);
+    const Response stats = restarted.handle(parse_request("STATS"));
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_NE(stats.payload.find("recovered_models=0"), std::string::npos) << stats.payload;
+    EXPECT_NE(stats.payload.find("skipped_models=1"), std::string::npos) << stats.payload;
+    restarted.stop();
+
+    const PersistentStore store(dir);
+    const auto manifest = store.manifest();
+    ASSERT_EQ(manifest.size(), 1U) << "the corrupt entry goes, the old-format one stays";
+    EXPECT_EQ(manifest[0].name, "chaos-old");
+    EXPECT_EQ(store.load("chaos-old"), old_format);
 }
 
 TEST(CrashRecovery, InterruptedJobIsFailedAndResubmitted) {

@@ -7,7 +7,8 @@
 // path; (3) streaming/batched seeded sampling re-frames the row stream
 // without changing a bit, for any chunk size; (4) one const model serves
 // many concurrent seeded samplers, each matching its serial per-seed
-// reference (the TSan target for the serving path).
+// reference (the TSan target for the serving path); (5) a request's first
+// m rows do not depend on how many rows it asked for.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -350,6 +351,28 @@ TEST_F(SampleStreamTest, ConcurrentSeededSamplersMatchTheirSerialReference) {
                   expected[static_cast<std::size_t>(c)].matrix())
             << "client " << c;
     }
+}
+
+kinet::data::Table first_rows(const kinet::data::Table& t, std::size_t rows) {
+    kinet::data::Table out(t.schema());
+    out.append_row_range(t, 0, rows);
+    return out;
+}
+
+TEST_F(SampleStreamTest, RowsDoNotDependOnTheRequestedCount) {
+    // Row i is a function of (seed, i) alone (docs/protocol.md, "Sampling
+    // stream"), so a longer request extends a shorter one.
+    const auto longer = model_->sample_seeded(300, 21);
+    const auto shorter = model_->sample_seeded(200, 21);
+    ASSERT_EQ(longer.rows(), 300U);
+    EXPECT_EQ(first_rows(longer, 200).matrix(), shorter.matrix());
+}
+
+TEST_F(SampleStreamTest, ConditionalRowsDoNotDependOnTheRequestedCount) {
+    const auto longer = model_->sample_conditional_seeded(300, "protocol", "UDP", 22);
+    const auto shorter = model_->sample_conditional_seeded(200, "protocol", "UDP", 22);
+    ASSERT_EQ(longer.rows(), 300U);
+    EXPECT_EQ(first_rows(longer, 200).matrix(), shorter.matrix());
 }
 
 TEST_F(SampleStreamTest, ZeroRowsAndNullSink) {

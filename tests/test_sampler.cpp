@@ -1,6 +1,9 @@
 // Tests for training-by-sampling (conditional sampler).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "src/common/check.hpp"
 #include "src/data/sampler.hpp"
 
@@ -8,6 +11,15 @@ namespace {
 
 using kinet::Rng;
 using namespace kinet::data;  // NOLINT
+
+/// One block of stream words for draw_empirical_values.
+std::array<std::uint32_t, 4> words_from(Rng& rng) {
+    std::array<std::uint32_t, 4> w{};
+    for (auto& x : w) {
+        x = static_cast<std::uint32_t>(rng.engine()());
+    }
+    return w;
+}
 
 // 90/9/1 imbalanced table.
 Table imbalanced_table(std::size_t rows, Rng& rng) {
@@ -74,15 +86,17 @@ TEST(Sampler, EmpiricalDrawMatchesDataDistribution) {
     const Table t = imbalanced_table(3000, rng);
     const ConditionalSampler sampler(t, {0});
     std::vector<std::size_t> counts(3, 0);
+    std::vector<std::size_t> word_counts(3, 0);
     const int n = 6000;
     for (int i = 0; i < n; ++i) {
         ++counts[sampler.draw_empirical(rng).values[0]];
+        ++word_counts[sampler.draw_empirical_values(words_from(rng))[0]];
     }
     const auto data_counts = t.category_counts(0);
     for (std::size_t k = 0; k < 3; ++k) {
         const double data_p = static_cast<double>(data_counts[k]) / t.rows();
-        const double draw_p = static_cast<double>(counts[k]) / n;
-        EXPECT_NEAR(draw_p, data_p, 0.03);
+        EXPECT_NEAR(static_cast<double>(counts[k]) / n, data_p, 0.03);
+        EXPECT_NEAR(static_cast<double>(word_counts[k]) / n, data_p, 0.03);
     }
 }
 
@@ -109,7 +123,11 @@ TEST(Sampler, NeverReturnsValueAbsentFromData) {
     const ConditionalSampler sampler(t, {0});
     for (int i = 0; i < 500; ++i) {
         EXPECT_NE(sampler.draw(rng).values[0], 2U);
+        EXPECT_NE(sampler.draw_empirical_values(words_from(rng))[0], 2U);
     }
+    // The largest uniform the words can give still lands on a value the
+    // data carries (the walk's fallback skips zero-frequency values).
+    EXPECT_EQ(sampler.draw_empirical_values(std::array<std::uint32_t, 4>{0, ~0U, ~0U, 0})[0], 1U);
 }
 
 }  // namespace

@@ -632,12 +632,11 @@ TEST_F(ServerTest, ConcurrentStreamingClientsShareOneModelSnapshot) {
 }
 
 TEST_F(ServerTest, ManyConcurrentMultiBatchFramedSamplesDoNotExhaustThePool) {
-    // Framed SAMPLE handlers run as submitted pool tasks.  The sampler's
-    // look-ahead RNG producer (engaged when n spans multiple generation
-    // batches) must therefore run inline for them — a submitted task
-    // waiting on another submitted task is the deadlock the ThreadPool
-    // contract forbids, and enough concurrent multi-batch requests to
-    // occupy every worker used to hang exactly here.
+    // Framed SAMPLE handlers run as submitted pool tasks, so nothing on the
+    // multi-batch sampling path may wait on another submitted task — the
+    // deadlock the ThreadPool contract forbids.  If it did, enough
+    // concurrent multi-batch requests to occupy every worker would hang
+    // exactly here.
     constexpr std::size_t kClients = 8;
     constexpr std::size_t kRows = 300;  // > batch_size: multiple generation batches
     std::string expected;

@@ -3,7 +3,9 @@
 // must be rejected with clear errors before any model state is built.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "src/common/bytes.hpp"
@@ -125,14 +127,23 @@ TEST(Snapshot, RejectsBadMagic) {
 }
 
 TEST(Snapshot, RejectsWrongVersion) {
+    // Format 1 sampled from the mt19937_64 stream; a build that read it
+    // would serve different rows for the same seed, so it is refused like
+    // any other version this build does not write.
     auto model = trained_model();
-    std::string blob = kinet::service::write_snapshot(*model);
-    blob[8] = static_cast<char>(kinet::service::kSnapshotVersion + 1);  // version u32 LSB
-    try {
-        (void)kinet::service::read_snapshot(blob);
-        FAIL() << "expected kinet::Error";
-    } catch (const kinet::Error& e) {
-        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    const std::string good = kinet::service::write_snapshot(*model);
+    for (const std::uint32_t version : {1U, kinet::service::kSnapshotVersion + 1}) {
+        std::string blob = good;
+        std::memcpy(blob.data() + 8, &version, sizeof(version));
+        try {
+            (void)kinet::service::read_snapshot(blob);
+            FAIL() << "expected kinet::Error for version " << version;
+        } catch (const kinet::Error& e) {
+            EXPECT_NE(std::string(e.what()).find("unsupported format version " +
+                                                 std::to_string(version)),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

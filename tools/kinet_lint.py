@@ -8,7 +8,8 @@ cannot express:
                   of every RNG-bearing path (replicas serve byte-identical
                   seeded draws fleet-wide).  Ambient-entropy and wall-clock
                   APIs are therefore banned in src/: all randomness flows
-                  through kinet::Rng (seeded mt19937_64) and all timing
+                  through kinet::Rng (seeded mt19937_64) or the keyed
+                  sampling stream (src/common/philox.hpp), and all timing
                   through steady_clock/Stopwatch.
 
   loop-blocking   The epoll loop thread (src/service/event_loop.cpp) owns
