@@ -32,6 +32,22 @@ std::size_t hardware_threads() {
 namespace {
 /// Global-pool parallel_for calls that ran as more than one chunk.
 std::atomic<std::size_t> g_split_calls{0};
+
+/// True while this thread runs a parallel_for chunk body (on a worker or on
+/// the submitting thread); a parallel_for issued there runs inline.
+thread_local bool t_in_chunk = false;
+
+/// Marks the current thread as inside a chunk body for its lifetime.
+class ChunkScope {
+public:
+    ChunkScope() : outer_(t_in_chunk) { t_in_chunk = true; }
+    ~ChunkScope() { t_in_chunk = outer_; }
+    ChunkScope(const ChunkScope&) = delete;
+    ChunkScope& operator=(const ChunkScope&) = delete;
+
+private:
+    bool outer_;
+};
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -100,7 +116,7 @@ void ThreadPool::parallel_for(std::size_t count, std::size_t max_chunks,
         return;
     }
     const std::size_t chunks = std::clamp<std::size_t>(max_chunks, 1, std::min(size(), count));
-    if (chunks == 1) {
+    if (chunks == 1 || t_in_chunk) {
         fn(0, count);
         return;
     }
@@ -118,6 +134,7 @@ void ThreadPool::parallel_for(std::size_t count, std::size_t max_chunks,
 
     auto run_chunk = [batch, &fn](std::size_t begin, std::size_t end) {
         try {
+            const ChunkScope scope;
             fn(begin, end);
         } catch (...) {
             const MutexLock lock(batch->mu);
@@ -191,7 +208,7 @@ ThreadPool& ThreadPool::global() {
 void parallel_for(std::size_t count, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn) {
     const std::size_t g = std::max<std::size_t>(grain, 1);
-    if (count < 2 * g || hardware_threads() <= 1) {
+    if (count < 2 * g || hardware_threads() <= 1 || t_in_chunk) {
         if (count > 0) {
             fn(0, count);
         }

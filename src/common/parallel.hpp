@@ -12,6 +12,9 @@
 // unless overridden by the KINET_NUM_THREADS environment variable (read
 // once, at first use).  A pool of size <= 1 executes everything inline on
 // the calling thread, so single-core machines pay no synchronisation cost.
+// A parallel_for issued from inside a chunk body (a nested call) also runs
+// inline, so an outer split — say, one generation batch per lane — keeps
+// its inner GEMMs on the lane that owns the batch.
 #ifndef KINETGAN_COMMON_PARALLEL_H
 #define KINETGAN_COMMON_PARALLEL_H
 
@@ -44,8 +47,9 @@ public:
     /// possible chunks (never more than size(), never fewer than 1) and
     /// runs fn(begin, end) on each; blocks until all chunks finish.
     /// Exceptions thrown by `fn` are rethrown on the calling thread (the
-    /// first one observed).  Must not be called recursively from inside
-    /// `fn` on the same pool.
+    /// first one observed).  Called from inside any pool's chunk body it
+    /// runs fn(0, count) inline on that thread: nested calls never queue
+    /// work, so two chunks can never wait on each other's drain.
     void parallel_for(std::size_t count, std::size_t max_chunks,
                       const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -67,8 +71,9 @@ private:
 };
 
 /// Runs fn(begin, end) over [0, count) on the global pool.  `grain` is the
-/// minimum number of indices per chunk: ranges smaller than 2*grain (or a
-/// single-lane pool) run inline as one serial call fn(0, count).
+/// minimum number of indices per chunk: ranges smaller than 2*grain, a
+/// single-lane pool, or a call from inside a chunk body run inline as one
+/// serial call fn(0, count) (by the determinism contract, the same bits).
 void parallel_for(std::size_t count, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 

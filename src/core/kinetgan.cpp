@@ -514,6 +514,15 @@ constexpr std::size_t blocks_for(std::size_t words) {
     return (words + philox::kBlockWords - 1) / philox::kBlockWords;
 }
 
+/// Workspace slots of a cursor: one per generation batch a chunk needs, at
+/// most one per pool lane, and one when each batch is its own chunk.
+std::size_t cursor_slots(std::size_t chunk_rows, std::size_t batch_size) {
+    if (chunk_rows == 0) {
+        return 1;
+    }
+    return std::min(hardware_threads(), (chunk_rows + batch_size - 1) / batch_size);
+}
+
 }  // namespace
 
 void KiNetGan::produce_sample_batch(
@@ -647,19 +656,25 @@ KiNetGan::StreamCursor::StreamCursor(const KiNetGan& model, std::size_t n, std::
       chunk_rows_(chunk_rows),
       remaining_(n),
       key_(key),
-      decoded_(model.schema_),
+      slots_(cursor_slots(chunk_rows, model.options_.gan.batch_size),
+             Slot(model.schema_)),
       pending_(model.schema_) {}
 
 const data::Table* KiNetGan::StreamCursor::next() {
-    const KiNetGan& m = *model_;
+    const std::size_t batch = model_->options_.gan.batch_size;
     pending_.clear_rows();  // the buffer handed out by the previous call
     for (;;) {
-        // Drain what the last generation batch left over.
-        while (decoded_pos_ < decoded_.rows() && pending_.rows() < chunk_rows_) {
+        // Drain what the last wave left over, slot by slot in row order.
+        while (drain_slot_ < filled_ && pending_.rows() < chunk_rows_) {
+            const data::Table& decoded = slots_[drain_slot_].decoded;
             const std::size_t take =
-                std::min(chunk_rows_ - pending_.rows(), decoded_.rows() - decoded_pos_);
-            pending_.append_row_range(decoded_, decoded_pos_, decoded_pos_ + take);
+                std::min(chunk_rows_ - pending_.rows(), decoded.rows() - decoded_pos_);
+            pending_.append_row_range(decoded, decoded_pos_, decoded_pos_ + take);
             decoded_pos_ += take;
+            if (decoded_pos_ == decoded.rows()) {
+                ++drain_slot_;
+                decoded_pos_ = 0;
+            }
         }
         if (chunk_rows_ > 0 && pending_.rows() == chunk_rows_) {
             return &pending_;
@@ -668,18 +683,38 @@ const data::Table* KiNetGan::StreamCursor::next() {
             // Final (short) chunk, or a fully drained stream.
             return pending_.rows() > 0 ? &pending_ : nullptr;
         }
-        const std::size_t b = std::min(m.options_.gan.batch_size, remaining_);
-        m.produce_sample_batch(next_row_, b, key_, pin_, batch_);
-        m.g_trunk_->forward_inference(batch_.input, output_, ctx_);
-        m.g_act_->apply_spans(output_, batch_.gumbel);
-        m.transformer_.inverse_into(output_, raw_, decoded_);
-        next_row_ += b;
-        remaining_ -= b;
-        if (chunk_rows_ == 0) {
-            decoded_pos_ = decoded_.rows();
-            return &decoded_;
-        }
+        // One wave: the batches that complete this chunk, at most one per
+        // slot.  Slot i holds rows [next_row_ + i*batch, ...), so the bytes
+        // do not depend on which lane ran it.  A one-batch wave runs inline,
+        // and capturing only `this` keeps its std::function allocation-free.
+        const std::size_t wave =
+            chunk_rows_ == 0
+                ? 1
+                : std::min({slots_.size(), (chunk_rows_ - pending_.rows() + batch - 1) / batch,
+                            (remaining_ + batch - 1) / batch});
+        filled_ = 0;  // a throwing wave leaves no half-written slot to drain
+        parallel_for(wave, 1, [this](std::size_t begin, std::size_t end) {
+            const KiNetGan& model = *model_;
+            const std::size_t b_max = model.options_.gan.batch_size;
+            for (std::size_t i = begin; i < end; ++i) {
+                Slot& slot = slots_[i];
+                const std::size_t b = std::min(b_max, remaining_ - i * b_max);
+                model.produce_sample_batch(next_row_ + i * b_max, b, key_, pin_, slot.batch);
+                model.g_trunk_->forward_inference(slot.batch.input, slot.output, slot.ctx);
+                model.g_act_->apply_spans(slot.output, slot.batch.gumbel);
+                model.transformer_.inverse_into(slot.output, slot.raw, slot.decoded);
+            }
+        });
+        const std::size_t rows = std::min(wave * batch, remaining_);
+        next_row_ += rows;
+        remaining_ -= rows;
+        filled_ = wave;
+        drain_slot_ = 0;
         decoded_pos_ = 0;
+        if (chunk_rows_ == 0) {
+            drain_slot_ = 1;
+            return &slots_[0].decoded;
+        }
     }
 }
 

@@ -135,8 +135,12 @@ public:
     /// entry point runs.  Each next() call generates just enough batches to
     /// fill one chunk, then suspends — no thread is held between calls,
     /// which is what lets an event-driven server park a stream whose client
-    /// stopped reading.  The concatenated chunks are bit-identical to
-    /// sample_seeded_stream with the same (n, seed), whatever chunk_rows.
+    /// stopped reading.  A chunk that needs several generation batches
+    /// produces them as one wave over parallel_for, one batch per workspace
+    /// slot, so idle pool lanes share the work; with no idle lane the
+    /// calling thread runs the whole wave.  Rows depend only on their index,
+    /// so the concatenated chunks are bit-identical to sample_seeded_stream
+    /// with the same (n, seed), whatever chunk_rows and thread count.
     /// The cursor borrows the model — keep the KiNetGan alive — and a single
     /// cursor must not be advanced concurrently, but independent cursors
     /// share no mutable state and may run in parallel on one fitted model.
@@ -148,16 +152,22 @@ public:
         /// reused internal buffer, valid until the next call.
         [[nodiscard]] const data::Table* next();
 
-        /// Rows not yet returned by next().
-        [[nodiscard]] std::size_t rows_left() const noexcept {
-            return remaining_ + (decoded_.rows() - decoded_pos_) + pending_.rows();
-        }
-
     private:
         friend class KiNetGan;
         StreamCursor(const KiNetGan& model, std::size_t n, std::uint64_t key,
                      std::size_t chunk_rows,
                      std::optional<std::pair<std::size_t, std::size_t>> pin);
+
+        /// Reused workspaces of one generation batch (the const model never
+        /// mutates); buffers grow on first use.
+        struct Slot {
+            explicit Slot(const std::vector<data::ColumnMeta>& schema) : decoded(schema) {}
+            SampleBatchInputs batch;
+            nn::InferenceContext ctx;
+            nn::Matrix output;
+            nn::Matrix raw;
+            data::Table decoded;  // the batch, decoded
+        };
 
         const KiNetGan* model_;
         std::optional<std::pair<std::size_t, std::size_t>> pin_;
@@ -165,14 +175,12 @@ public:
         std::size_t remaining_;   // rows not yet generated
         std::uint64_t key_;       // sampling-stream key
         std::uint64_t next_row_ = 0;  // stream row index of the next batch
-        // Reused per-cursor workspaces (the const model never mutates).
-        nn::InferenceContext ctx_;
-        nn::Matrix output_;
-        nn::Matrix raw_;
-        data::Table decoded_;        // last generation batch, decoded
-        std::size_t decoded_pos_ = 0;  // rows of decoded_ already chunked
-        data::Table pending_;        // chunk under assembly / last returned
-        SampleBatchInputs batch_;
+        // min(pool lanes, batches per chunk) slots; one when chunk_rows is 0.
+        std::vector<Slot> slots_;
+        std::size_t filled_ = 0;       // slots holding the last wave's batches
+        std::size_t drain_slot_ = 0;   // first of them not fully chunked
+        std::size_t decoded_pos_ = 0;  // rows of slots_[drain_slot_] already chunked
+        data::Table pending_;          // chunk under assembly / last returned
     };
 
     /// Opens a StreamCursor over this model; empty `cond_column` means an

@@ -16,7 +16,6 @@
 #include <functional>
 #include <string>
 #include <utility>
-#include <unistd.h>
 
 #include "src/common/bytes.hpp"
 #include "src/common/check.hpp"
@@ -26,11 +25,14 @@
 #include "src/nn/nn.hpp"
 #include "src/tensor/gemm.hpp"
 #include "src/tensor/ops.hpp"
+#include "tests/run_self.hpp"
 
 namespace {
 
 using kinet::Rng;
 using kinet::tensor::Matrix;
+using kinet::testing::run_self;
+using kinet::testing::self_exe;
 namespace ops = kinet::tensor;
 
 Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
@@ -282,34 +284,6 @@ std::string unsplit_drives() {
         }
     }
     return missed.empty() ? "ok\n" : missed;
-}
-
-/// Path of this test binary, or "" where /proc/self/exe is unavailable.
-std::string self_exe() {
-    char exe[4096];
-    const ssize_t len = readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    return len > 0 ? std::string(exe, static_cast<std::size_t>(len)) : std::string();
-}
-
-/// Re-executes this binary as `env <exe> flag` and returns its stdout.  The
-/// pool size is latched at first use, so each thread count needs a fresh
-/// process.
-std::string run_self(const std::string& env, const std::string& flag) {
-    const std::string cmd = env + " '" + self_exe() + "' " + flag + " 2>/dev/null";
-    FILE* pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr) {
-        return "popen failed";
-    }
-    std::string out;
-    char buf[256];
-    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
-        out += buf;
-    }
-    const int rc = pclose(pipe);
-    if (rc != 0) {
-        out += "exit status " + std::to_string(rc) + "\n";
-    }
-    return out;
 }
 
 TEST(Gemm, ThreadIdentityShapesSplitOnEveryDrive) {

@@ -8,15 +8,20 @@
 // without changing a bit, for any chunk size; (4) one const model serves
 // many concurrent seeded samplers, each matching its serial per-seed
 // reference (the TSan target for the serving path); (5) a request's first
-// m rows do not depend on how many rows it asked for.
+// m rows do not depend on how many rows it asked for; (6) a streamed chunk
+// whose batches are generated in parallel on pool lanes serves the same
+// bytes as the framed sample, at 1 and 4 threads (child processes, since
+// the pool size is latched at first use).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/kinetgan.hpp"
 #include "src/kg/network_kg.hpp"
@@ -24,6 +29,7 @@
 #include "src/nn/nn.hpp"
 #include "src/tensor/gemm.hpp"
 #include "src/tensor/ops.hpp"
+#include "tests/run_self.hpp"
 
 namespace {
 
@@ -383,4 +389,111 @@ TEST_F(SampleStreamTest, ZeroRowsAndNullSink) {
     EXPECT_THROW(model_->sample_seeded_stream(10, 1, 10, nullptr), kinet::Error);
 }
 
+// ------------------------------------------ parallel stream generation
+
+/// CSV bytes of a whole table, as a framed SAMPLE serves them.
+std::string csv_of(const kinet::data::Table& table) {
+    std::string out;
+    table.append_csv(out, /*include_header=*/true);
+    return out;
+}
+
+/// Child side of ParallelStream.ChunksServeTheFramedBytes: for every (n,
+/// chunk, pin) case, the cursor's chunks must concatenate to the framed
+/// sample's CSV bytes and partition n exactly.  Prints "ok" or one line per
+/// failing case.
+std::string stream_identity() {
+    const auto model = tiny_model();
+    constexpr std::uint64_t kSeed = 7;
+    std::string failures;
+    for (const std::size_t n : {std::size_t{1}, std::size_t{337}, std::size_t{8193}}) {
+        for (const bool pinned : {false, true}) {
+            const std::string column = pinned ? "protocol" : "";
+            const std::string value = pinned ? "TCP" : "";
+            const kinet::data::Table whole =
+                pinned ? model->sample_conditional_seeded(n, column, value, kSeed)
+                       : model->sample_seeded(n, kSeed);
+            const std::string want = csv_of(whole);
+            for (const std::size_t chunk : {1, 127, 128, 300, 512, 1024, 4096}) {
+                const std::string label = "n=" + std::to_string(n) +
+                                          " chunk=" + std::to_string(chunk) +
+                                          (pinned ? " pinned" : "") + ": ";
+                auto cursor = model->open_sample_cursor(n, kSeed, chunk, column, value);
+                kinet::data::Table streamed(model->schema());
+                std::size_t chunks = 0;
+                bool exact = true;
+                while (const kinet::data::Table* part = cursor->next()) {
+                    ++chunks;
+                    // Every chunk is full except a final short one.
+                    exact = exact && part->rows() > 0 && part->rows() <= chunk &&
+                            (part->rows() == chunk || streamed.rows() + part->rows() == n);
+                    streamed.append_rows(*part);
+                }
+                if (!exact || chunks != (n + chunk - 1) / chunk || streamed.rows() != n) {
+                    failures += label + "chunks do not partition the rows\n";
+                } else if (csv_of(streamed) != want) {
+                    failures += label + "bytes differ from the framed sample\n";
+                }
+            }
+        }
+    }
+    return failures.empty() ? "ok\n" : failures;
+}
+
+/// Child side of ParallelStream.MultiBatchChunksSplitAcrossLanes: prints
+/// "ok" when a streamed multi-batch chunk reaches the pool and a framed
+/// (one batch per chunk) sample does not.
+std::string stream_split() {
+    const auto model = tiny_model();
+    std::string failures;
+    std::size_t before = kinet::parallel_for_split_count();
+    auto cursor = model->open_sample_cursor(8192, 3, 512);
+    while (cursor->next() != nullptr) {
+    }
+    if (kinet::parallel_for_split_count() == before) {
+        failures += "streamed n=8192 chunk=512 never split\n";
+    }
+    before = kinet::parallel_for_split_count();
+    (void)model->sample_seeded(8192, 3);
+    if (kinet::parallel_for_split_count() != before) {
+        failures += "a chunk_rows == 0 sample split\n";
+    }
+    return failures.empty() ? "ok\n" : failures;
+}
+
+TEST(ParallelStream, ChunksServeTheFramedBytes) {
+    if (kinet::testing::self_exe().empty()) {
+        GTEST_SKIP() << "cannot resolve own binary path";
+    }
+    for (const std::string env : {"KINET_NUM_THREADS=4", "KINET_NUM_THREADS=1"}) {
+        EXPECT_EQ(kinet::testing::run_self(env, "--stream-identity"), "ok\n") << "with " << env;
+    }
+}
+
+TEST(ParallelStream, MultiBatchChunksSplitAcrossLanes) {
+    // Guards the identity test above: at 4 lanes its streamed passes must
+    // really fan out, or it would only re-check the serial loop.
+    if (kinet::testing::self_exe().empty()) {
+        GTEST_SKIP() << "cannot resolve own binary path";
+    }
+    EXPECT_EQ(kinet::testing::run_self("KINET_NUM_THREADS=4", "--stream-split"), "ok\n");
+}
+
 }  // namespace
+
+// Custom main: `--stream-identity` and `--stream-split` turn the binary into
+// the child side of the ParallelStream tests (print and exit).
+int main(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) == "--stream-identity") {
+            std::fputs(stream_identity().c_str(), stdout);
+            return 0;
+        }
+        if (std::string(argv[i]) == "--stream-split") {
+            std::fputs(stream_split().c_str(), stdout);
+            return 0;
+        }
+    }
+    ::testing::InitGoogleTest(&argc, argv);
+    return RUN_ALL_TESTS();
+}

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <cstdio>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "src/common/rng.hpp"
 #include "src/tensor/matrix.hpp"
 #include "src/tensor/ops.hpp"
+#include "tests/run_self.hpp"
 
 namespace {
 
@@ -210,6 +214,52 @@ TEST(ThreadPool, SubmittedTasksMayHoldLocksAroundParallelFor) {
         << "pool wedged: " << done.load() << "/" << kTasks << " tasks finished";
 }
 
+/// Child side of NestedParallelForRunsInline: an outer global parallel_for
+/// whose every index issues an inner one.  Prints "ok" when the result is
+/// the serial one and only the outer call split, else what went wrong.
+std::string nested_parallel_for() {
+    constexpr std::size_t kOuter = 8;
+    constexpr std::size_t kInner = 4096;
+    const auto value = [](std::size_t i, std::size_t j) {
+        return static_cast<std::uint64_t>(i) * 1000003U + static_cast<std::uint64_t>(j) * j;
+    };
+    std::vector<std::uint64_t> want(kOuter * kInner);
+    for (std::size_t i = 0; i < kOuter; ++i) {
+        for (std::size_t j = 0; j < kInner; ++j) {
+            want[i * kInner + j] = value(i, j);
+        }
+    }
+    std::vector<std::uint64_t> got(want.size(), 0);
+    const std::size_t before = kinet::parallel_for_split_count();
+    kinet::parallel_for(kOuter, 1, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) {
+            kinet::parallel_for(kInner, 64, [&, i](std::size_t jb, std::size_t je) {
+                for (std::size_t j = jb; j < je; ++j) {
+                    got[i * kInner + j] = value(i, j);
+                }
+            });
+        }
+    });
+    const std::size_t splits = kinet::parallel_for_split_count() - before;
+    std::string out;
+    if (got != want) {
+        out += "result differs from the serial reference\n";
+    }
+    if (splits != 1) {
+        out += "split count rose by " + std::to_string(splits) + "\n";
+    }
+    return out.empty() ? "ok\n" : out;
+}
+
+TEST(ThreadPool, NestedParallelForRunsInline) {
+    // A parallel_for inside a chunk body (a wave item's GEMM, say) must run
+    // inline instead of queueing behind the chunk that issued it.
+    if (kinet::testing::self_exe().empty()) {
+        GTEST_SKIP() << "cannot resolve own binary path";
+    }
+    EXPECT_EQ(kinet::testing::run_self("KINET_NUM_THREADS=4", "--nested-parallel-for"), "ok\n");
+}
+
 TEST(ParallelMatmul, MatchesNaiveReferenceOnEdgeShapes) {
     Rng rng(7);
     // {m, k, n} covering: empty output, empty inner dim, single row/col,
@@ -291,3 +341,16 @@ TEST(ParallelMatmul, TransposedVariantsAgreeWithExplicitTranspose) {
 }
 
 }  // namespace
+
+// Custom main: `--nested-parallel-for` turns the binary into the child side
+// of NestedParallelForRunsInline (print and exit).
+int main(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) == "--nested-parallel-for") {
+            std::fputs(nested_parallel_for().c_str(), stdout);
+            return 0;
+        }
+    }
+    ::testing::InitGoogleTest(&argc, argv);
+    return RUN_ALL_TESTS();
+}
