@@ -51,16 +51,23 @@ private:
 }  // namespace
 
 struct ThreadPool::Impl {
+    /// A queued parallel_for chunk, tagged with the call that queued it.
+    struct Chunk {
+        const void* call;
+        std::function<void()> run;
+    };
+
     std::vector<std::thread> workers;
     // Two queues, one invariant: `chunks` holds parallel_for chunk bodies,
     // which are pure compute and never block; `tasks` holds submit()ted
-    // tasks, which MAY block on locks.  parallel_for's helper-drain loop
+    // tasks, which MAY block on locks.  parallel_for's caller-drain loop
     // (below) only ever pops `chunks` — if it executed a blocking task while
     // the caller holds a lock, a second task waiting on that same lock would
-    // deadlock the lane.  Workers serve both, chunks first.
+    // deadlock the lane.  Workers serve both, chunks first, each in FIFO
+    // order.
     Mutex mu;
     CondVar cv;
-    std::deque<std::function<void()>> chunks KINET_GUARDED_BY(mu);
+    std::deque<Chunk> chunks KINET_GUARDED_BY(mu);
     std::deque<std::function<void()>> tasks KINET_GUARDED_BY(mu);
     bool stop KINET_GUARDED_BY(mu) = false;
 
@@ -76,7 +83,7 @@ struct ThreadPool::Impl {
                     return;
                 }
                 if (!chunks.empty()) {
-                    task = std::move(chunks.front());
+                    task = std::move(chunks.front().run);
                     chunks.pop_front();
                 } else {
                     task = std::move(tasks.front());
@@ -85,6 +92,20 @@ struct ThreadPool::Impl {
             }
             task();
         }
+    }
+
+    /// Removes and returns the oldest queued chunk of `call`, or an empty
+    /// function when workers have taken them all.
+    std::function<void()> take_own_chunk(const void* call) {
+        const MutexLock lock(mu);
+        const auto it = std::find_if(chunks.begin(), chunks.end(),
+                                     [call](const Chunk& c) { return c.call == call; });
+        if (it == chunks.end()) {
+            return {};
+        }
+        std::function<void()> run = std::move(it->run);
+        chunks.erase(it);
+        return run;
     }
 };
 
@@ -153,28 +174,21 @@ void ThreadPool::parallel_for(std::size_t count, std::size_t max_chunks,
     {
         const MutexLock lock(impl_->mu);
         for (std::size_t c = 1; c < chunks; ++c) {
-            impl_->chunks.emplace_back(
-                [run_chunk, b = chunk_begin(c), e = chunk_begin(c + 1)] { run_chunk(b, e); });
+            impl_->chunks.push_back(
+                {batch.get(),
+                 [run_chunk, b = chunk_begin(c), e = chunk_begin(c + 1)] { run_chunk(b, e); }});
         }
     }
     impl_->cv.notify_all();
 
-    // The submitting thread takes chunk 0, then drains chunks still queued
-    // (workers may be busy with other batches).  Only the chunk queue: a
-    // submit()ted task may block on a lock this thread holds.
+    // The submitting thread takes chunk 0, then runs those of its own chunks
+    // that no worker has taken yet.  Only its own: another call's chunk
+    // (say, a whole generation batch of another request) would delay this
+    // caller's return by that chunk's cost.  Workers still take any queued
+    // chunk in FIFO order, and a chunk body never waits (nested calls run
+    // inline), so the wait below cannot form a cycle.
     run_chunk(chunk_begin(0), chunk_begin(1));
-    for (;;) {
-        std::function<void()> task;
-        {
-            const MutexLock lock(impl_->mu);
-            if (!impl_->chunks.empty()) {
-                task = std::move(impl_->chunks.front());
-                impl_->chunks.pop_front();
-            }
-        }
-        if (!task) {
-            break;
-        }
+    while (const std::function<void()> task = impl_->take_own_chunk(batch.get())) {
         task();
     }
 

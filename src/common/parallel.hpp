@@ -30,7 +30,8 @@ namespace kinet {
 
 /// Fixed-size pool of worker threads executing queued tasks.  The calling
 /// thread of `parallel_for` participates in the work, so a pool is never
-/// idle-blocked on its own submission.
+/// idle-blocked on its own submission.  Workers take queued chunks in FIFO
+/// order; a caller runs only chunks of its own call, never another's.
 class ThreadPool {
 public:
     /// Starts `threads - 1` workers (the submitting thread is the last
@@ -45,7 +46,10 @@ public:
 
     /// Splits [0, count) into at most `max_chunks` contiguous, equal-as-
     /// possible chunks (never more than size(), never fewer than 1) and
-    /// runs fn(begin, end) on each; blocks until all chunks finish.
+    /// runs fn(begin, end) on each; blocks until all chunks finish.  The
+    /// caller runs the first chunk, then every chunk of this call that no
+    /// worker has taken yet, so with no idle lane it runs them all
+    /// serially; it never runs a chunk queued by another call.
     /// Exceptions thrown by `fn` are rethrown on the calling thread (the
     /// first one observed).  Called from inside any pool's chunk body it
     /// runs fn(0, count) inline on that thread: nested calls never queue

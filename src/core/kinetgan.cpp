@@ -514,14 +514,42 @@ constexpr std::size_t blocks_for(std::size_t words) {
     return (words + philox::kBlockWords - 1) / philox::kBlockWords;
 }
 
-/// Workspace slots of a cursor: one per generation batch a chunk needs, at
-/// most one per pool lane, and one when each batch is its own chunk.
-std::size_t cursor_slots(std::size_t chunk_rows, std::size_t batch_size) {
-    if (chunk_rows == 0) {
-        return 1;
-    }
-    return std::min(hardware_threads(), (chunk_rows + batch_size - 1) / batch_size);
+/// Decoded-table slots of a cursor over n rows: one per generation batch
+/// of the rows a wave serves (a chunk, or the whole request when framed),
+/// at most one per pool lane.
+std::size_t cursor_slots(std::size_t n, std::size_t chunk_rows, std::size_t batch_size) {
+    const std::size_t rows = chunk_rows == 0 ? n : std::min(n, chunk_rows);
+    return std::min(hardware_threads(), (rows + batch_size - 1) / batch_size);
 }
+
+/// `count` empty tables of `schema` whose storage already holds `rows`
+/// rows.  The cursor's constructor builds them on the opening thread, so
+/// the wave items that fill them on pool lanes allocate nothing.
+std::vector<data::Table> sized_tables(const std::vector<data::ColumnMeta>& schema,
+                                      std::size_t count, std::size_t rows) {
+    // Zeros are a valid row of any schema: category 0, finite values.
+    const nn::Matrix zeros(rows, schema.size());
+    std::vector<data::Table> tables;
+    tables.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        tables.emplace_back(schema);
+        tables.back().overwrite_rows(zeros);
+        tables.back().clear_rows();  // keeps the capacity
+    }
+    return tables;
+}
+
+/// A generation batch's workspace apart from its decoded table.  Only a
+/// running wave item uses it, and a thread runs one at a time (a nested
+/// parallel_for runs inline and a caller drains only its own chunks), so
+/// one per thread serves every cursor; buffers grow on first use.
+struct WaveScratch {
+    KiNetGan::SampleBatchInputs batch;
+    nn::InferenceContext ctx;
+    nn::Matrix output;
+    nn::Matrix raw;
+};
+thread_local WaveScratch t_wave_scratch;
 
 }  // namespace
 
@@ -656,17 +684,22 @@ KiNetGan::StreamCursor::StreamCursor(const KiNetGan& model, std::size_t n, std::
       chunk_rows_(chunk_rows),
       remaining_(n),
       key_(key),
-      slots_(cursor_slots(chunk_rows, model.options_.gan.batch_size),
-             Slot(model.schema_)),
+      decoded_(sized_tables(model.schema_,
+                            cursor_slots(n, chunk_rows, model.options_.gan.batch_size),
+                            model.options_.gan.batch_size)),
       pending_(model.schema_) {}
 
 const data::Table* KiNetGan::StreamCursor::next() {
     const std::size_t batch = model_->options_.gan.batch_size;
     pending_.clear_rows();  // the buffer handed out by the previous call
     for (;;) {
-        // Drain what the last wave left over, slot by slot in row order.
+        // A framed cursor hands each batch out as it is, in row order.
+        if (chunk_rows_ == 0 && drain_slot_ < filled_) {
+            return &decoded_[drain_slot_++];
+        }
+        // A streamed one drains what the last wave left over into pending_.
         while (drain_slot_ < filled_ && pending_.rows() < chunk_rows_) {
-            const data::Table& decoded = slots_[drain_slot_].decoded;
+            const data::Table& decoded = decoded_[drain_slot_];
             const std::size_t take =
                 std::min(chunk_rows_ - pending_.rows(), decoded.rows() - decoded_pos_);
             pending_.append_row_range(decoded, decoded_pos_, decoded_pos_ + take);
@@ -683,26 +716,23 @@ const data::Table* KiNetGan::StreamCursor::next() {
             // Final (short) chunk, or a fully drained stream.
             return pending_.rows() > 0 ? &pending_ : nullptr;
         }
-        // One wave: the batches that complete this chunk, at most one per
-        // slot.  Slot i holds rows [next_row_ + i*batch, ...), so the bytes
-        // do not depend on which lane ran it.  A one-batch wave runs inline,
-        // and capturing only `this` keeps its std::function allocation-free.
-        const std::size_t wave =
-            chunk_rows_ == 0
-                ? 1
-                : std::min({slots_.size(), (chunk_rows_ - pending_.rows() + batch - 1) / batch,
-                            (remaining_ + batch - 1) / batch});
+        // One wave: a batch per slot, or the batches left.  Slot i holds
+        // rows [next_row_ + i*batch, ...), so the bytes do not depend on
+        // which lane ran it.  A one-batch wave runs inline, and capturing
+        // only `this` keeps its std::function allocation-free.
+        const std::size_t wave = std::min(decoded_.size(), (remaining_ + batch - 1) / batch);
         filled_ = 0;  // a throwing wave leaves no half-written slot to drain
         parallel_for(wave, 1, [this](std::size_t begin, std::size_t end) {
             const KiNetGan& model = *model_;
             const std::size_t b_max = model.options_.gan.batch_size;
+            WaveScratch& scratch = t_wave_scratch;
             for (std::size_t i = begin; i < end; ++i) {
-                Slot& slot = slots_[i];
                 const std::size_t b = std::min(b_max, remaining_ - i * b_max);
-                model.produce_sample_batch(next_row_ + i * b_max, b, key_, pin_, slot.batch);
-                model.g_trunk_->forward_inference(slot.batch.input, slot.output, slot.ctx);
-                model.g_act_->apply_spans(slot.output, slot.batch.gumbel);
-                model.transformer_.inverse_into(slot.output, slot.raw, slot.decoded);
+                model.produce_sample_batch(next_row_ + i * b_max, b, key_, pin_, scratch.batch);
+                model.g_trunk_->forward_inference(scratch.batch.input, scratch.output,
+                                                  scratch.ctx);
+                model.g_act_->apply_spans(scratch.output, scratch.batch.gumbel);
+                model.transformer_.inverse_into(scratch.output, scratch.raw, decoded_[i]);
             }
         });
         const std::size_t rows = std::min(wave * batch, remaining_);
@@ -711,10 +741,6 @@ const data::Table* KiNetGan::StreamCursor::next() {
         filled_ = wave;
         drain_slot_ = 0;
         decoded_pos_ = 0;
-        if (chunk_rows_ == 0) {
-            drain_slot_ = 1;
-            return &slots_[0].decoded;
-        }
     }
 }
 

@@ -132,15 +132,17 @@ public:
                               SampleBatchInputs& out) const;
 
     /// A pull-based resumable streaming sample — the one sampling loop every
-    /// entry point runs.  Each next() call generates just enough batches to
-    /// fill one chunk, then suspends — no thread is held between calls,
-    /// which is what lets an event-driven server park a stream whose client
-    /// stopped reading.  A chunk that needs several generation batches
-    /// produces them as one wave over parallel_for, one batch per workspace
-    /// slot, so idle pool lanes share the work; with no idle lane the
-    /// calling thread runs the whole wave.  Rows depend only on their index,
-    /// so the concatenated chunks are bit-identical to sample_seeded_stream
-    /// with the same (n, seed), whatever chunk_rows and thread count.
+    /// entry point runs.  A next() call generates batches only while those
+    /// already decoded cannot fill its chunk, then suspends — no thread is
+    /// held between calls, which is what lets an event-driven server park a
+    /// stream whose client stopped reading.  Batches are generated in waves over parallel_for,
+    /// one batch per decoded-table slot, so idle pool lanes share the work;
+    /// with no idle lane the calling thread runs the whole wave.  A streamed
+    /// cursor has one slot per batch of a chunk, a framed one (chunk_rows
+    /// 0) one per batch of the request, both at most one per pool lane.
+    /// Rows depend only on their index, so the concatenated chunks are
+    /// bit-identical to sample_seeded_stream with the same (n, seed),
+    /// whatever chunk_rows and thread count.
     /// The cursor borrows the model — keep the KiNetGan alive — and a single
     /// cursor must not be advanced concurrently, but independent cursors
     /// share no mutable state and may run in parallel on one fitted model.
@@ -158,28 +160,19 @@ public:
                      std::size_t chunk_rows,
                      std::optional<std::pair<std::size_t, std::size_t>> pin);
 
-        /// Reused workspaces of one generation batch (the const model never
-        /// mutates); buffers grow on first use.
-        struct Slot {
-            explicit Slot(const std::vector<data::ColumnMeta>& schema) : decoded(schema) {}
-            SampleBatchInputs batch;
-            nn::InferenceContext ctx;
-            nn::Matrix output;
-            nn::Matrix raw;
-            data::Table decoded;  // the batch, decoded
-        };
-
         const KiNetGan* model_;
         std::optional<std::pair<std::size_t, std::size_t>> pin_;
         std::size_t chunk_rows_;  // 0: one chunk per generation batch
         std::size_t remaining_;   // rows not yet generated
         std::uint64_t key_;       // sampling-stream key
         std::uint64_t next_row_ = 0;  // stream row index of the next batch
-        // min(pool lanes, batches per chunk) slots; one when chunk_rows is 0.
-        std::vector<Slot> slots_;
+        // One decoded generation batch per slot, sized by the constructor.
+        // The rest of a batch's workspace belongs to the thread that runs
+        // it, so a cursor holds only these tables.
+        std::vector<data::Table> decoded_;
         std::size_t filled_ = 0;       // slots holding the last wave's batches
-        std::size_t drain_slot_ = 0;   // first of them not fully chunked
-        std::size_t decoded_pos_ = 0;  // rows of slots_[drain_slot_] already chunked
+        std::size_t drain_slot_ = 0;   // first of them not yet handed out
+        std::size_t decoded_pos_ = 0;  // rows of decoded_[drain_slot_] already chunked
         data::Table pending_;          // chunk under assembly / last returned
     };
 

@@ -47,6 +47,25 @@ void TableTransformer::fit(const Table& table, const TransformerOptions& options
             output_width_ += mode.width;
         }
     }
+    pair_mode_spans();
+}
+
+void TableTransformer::pair_mode_spans() {
+    constexpr auto kNone = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> alpha_of_column(schema_.size(), kNone);
+    for (const auto& s : spans_) {
+        if (s.kind == SpanKind::continuous_alpha && alpha_of_column[s.column] == kNone) {
+            alpha_of_column[s.column] = s.offset;
+        }
+    }
+    alpha_offset_.assign(spans_.size(), kNone);
+    for (std::size_t i = 0; i < spans_.size(); ++i) {
+        if (spans_[i].kind == SpanKind::mode_onehot) {
+            alpha_offset_[i] = alpha_of_column[spans_[i].column];
+            KINET_CHECK(alpha_offset_[i] != kNone,
+                        "TableTransformer: mode span without an alpha span");
+        }
+    }
 }
 
 tensor::Matrix TableTransformer::transform(const Table& table, Rng& rng) const {
@@ -125,22 +144,6 @@ void TableTransformer::inverse_into(const tensor::Matrix& encoded, tensor::Matri
     KINET_CHECK(is_fitted(), "TableTransformer::inverse before fit");
     KINET_CHECK(encoded.cols() == output_width_, "TableTransformer::inverse: width mismatch");
     KINET_CHECK(out.cols() == schema_.size(), "TableTransformer::inverse: table schema mismatch");
-    // Pair each mode span with its column's alpha span once, not per row.
-    std::vector<std::size_t> alpha_offset(spans_.size(), static_cast<std::size_t>(-1));
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-        if (spans_[i].kind != SpanKind::mode_onehot) {
-            continue;
-        }
-        for (const auto& s : spans_) {
-            if (s.column == spans_[i].column && s.kind == SpanKind::continuous_alpha) {
-                alpha_offset[i] = s.offset;
-                break;
-            }
-        }
-        KINET_CHECK(alpha_offset[i] != static_cast<std::size_t>(-1),
-                    "inverse: missing alpha span");
-    }
-
     raw_scratch.resize_for_overwrite(encoded.rows(), schema_.size());
     for (std::size_t r = 0; r < encoded.rows(); ++r) {
         const auto row = encoded.row(r);
@@ -170,7 +173,7 @@ void TableTransformer::inverse_into(const tensor::Matrix& encoded, tensor::Matri
                     }
                 }
                 const double alpha =
-                    std::clamp(static_cast<double>(row[alpha_offset[i]]), -1.0, 1.0);
+                    std::clamp(static_cast<double>(row[alpha_offset_[i]]), -1.0, 1.0);
                 const auto& comp = gmms_[span.column].component(best);
                 raw[span.column] = static_cast<float>(alpha * 4.0 * comp.stddev + comp.mean);
                 break;
@@ -244,6 +247,7 @@ TableTransformer TableTransformer::load(bytes::Reader& in) {
         KINET_CHECK(span.offset + span.width <= tf.output_width_,
                     "TableTransformer::load: span exceeds output width");
     }
+    tf.pair_mode_spans();
     return tf;
 }
 

@@ -75,8 +75,15 @@ public:
     [[nodiscard]] static TableTransformer load(bytes::Reader& in);
 
 private:
+    /// Pairs each mode span with its column's alpha span (fills
+    /// alpha_offset_); called wherever spans_ is built, so decoding does
+    /// no pairing per batch.
+    void pair_mode_spans();
+
     std::vector<ColumnMeta> schema_;
     std::vector<OutputSpan> spans_;
+    // Per span: a mode span's alpha offset, unused for other kinds.
+    std::vector<std::size_t> alpha_offset_;
     std::vector<Gmm1D> gmms_;  // indexed by column; empty Gmm1D for categorical
     std::size_t output_width_ = 0;
     TransformerOptions options_;

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/bytes.hpp"
 #include "src/common/check.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
@@ -398,13 +399,15 @@ std::string csv_of(const kinet::data::Table& table) {
     return out;
 }
 
-/// Child side of ParallelStream.ChunksServeTheFramedBytes: for every (n,
-/// chunk, pin) case, the cursor's chunks must concatenate to the framed
-/// sample's CSV bytes and partition n exactly.  Prints "ok" or one line per
-/// failing case.
+/// Child side of ParallelStream.ChunksServeTheFramedBytes: prints one line
+/// per (n, pin) case with the FNV-1a digest of the framed sample's CSV (the
+/// parent compares these across lane counts), then, for every chunk size,
+/// checks that the cursor's chunks concatenate to those bytes and partition
+/// n exactly.  Ends with "ok" or one line per failing case.
 std::string stream_identity() {
     const auto model = tiny_model();
     constexpr std::uint64_t kSeed = 7;
+    std::string digests;
     std::string failures;
     for (const std::size_t n : {std::size_t{1}, std::size_t{337}, std::size_t{8193}}) {
         for (const bool pinned : {false, true}) {
@@ -414,6 +417,8 @@ std::string stream_identity() {
                 pinned ? model->sample_conditional_seeded(n, column, value, kSeed)
                        : model->sample_seeded(n, kSeed);
             const std::string want = csv_of(whole);
+            digests += "framed n=" + std::to_string(n) + (pinned ? " pinned" : "") + " " +
+                       std::to_string(kinet::bytes::fnv1a(want)) + "\n";
             for (const std::size_t chunk : {1, 127, 128, 300, 512, 1024, 4096}) {
                 const std::string label = "n=" + std::to_string(n) +
                                           " chunk=" + std::to_string(chunk) +
@@ -437,14 +442,15 @@ std::string stream_identity() {
             }
         }
     }
-    return failures.empty() ? "ok\n" : failures;
+    return digests + (failures.empty() ? "ok\n" : failures);
 }
 
 /// Child side of ParallelStream.MultiBatchChunksSplitAcrossLanes: prints
-/// "ok" when a streamed multi-batch chunk reaches the pool and a framed
-/// (one batch per chunk) sample does not.
+/// "ok" when a streamed multi-batch chunk and a framed multi-batch sample
+/// reach the pool, and a framed one-batch sample does not.
 std::string stream_split() {
     const auto model = tiny_model();
+    const std::size_t batch = model->options().gan.batch_size;
     std::string failures;
     std::size_t before = kinet::parallel_for_split_count();
     auto cursor = model->open_sample_cursor(8192, 3, 512);
@@ -455,24 +461,35 @@ std::string stream_split() {
     }
     before = kinet::parallel_for_split_count();
     (void)model->sample_seeded(8192, 3);
+    if (kinet::parallel_for_split_count() == before) {
+        failures += "framed n=8192 never split\n";
+    }
+    before = kinet::parallel_for_split_count();
+    (void)model->sample_seeded(batch, 3);
     if (kinet::parallel_for_split_count() != before) {
-        failures += "a chunk_rows == 0 sample split\n";
+        failures += "a framed one-batch sample split\n";
     }
     return failures.empty() ? "ok\n" : failures;
 }
 
 TEST(ParallelStream, ChunksServeTheFramedBytes) {
+    // Framed samples split across lanes too, so each child checks streamed
+    // against framed bytes and the children's framed digests must agree: 4
+    // lanes, 3 (waves that do not divide the batches evenly) and 1 (the
+    // serial loop).
     if (kinet::testing::self_exe().empty()) {
         GTEST_SKIP() << "cannot resolve own binary path";
     }
-    for (const std::string env : {"KINET_NUM_THREADS=4", "KINET_NUM_THREADS=1"}) {
-        EXPECT_EQ(kinet::testing::run_self(env, "--stream-identity"), "ok\n") << "with " << env;
+    const std::string serial = kinet::testing::run_self("KINET_NUM_THREADS=1", "--stream-identity");
+    EXPECT_TRUE(serial.ends_with("\nok\n")) << serial;
+    for (const std::string env : {"KINET_NUM_THREADS=4", "KINET_NUM_THREADS=3"}) {
+        EXPECT_EQ(kinet::testing::run_self(env, "--stream-identity"), serial) << "with " << env;
     }
 }
 
 TEST(ParallelStream, MultiBatchChunksSplitAcrossLanes) {
-    // Guards the identity test above: at 4 lanes its streamed passes must
-    // really fan out, or it would only re-check the serial loop.
+    // Guards the identity test above: at 4 lanes its multi-batch passes
+    // must really fan out, or it would only re-check the serial loop.
     if (kinet::testing::self_exe().empty()) {
         GTEST_SKIP() << "cannot resolve own binary path";
     }

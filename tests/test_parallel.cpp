@@ -9,8 +9,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <latch>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -212,6 +214,52 @@ TEST(ThreadPool, SubmittedTasksMayHoldLocksAroundParallelFor) {
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
                             [&] { return done.load() == kTasks; }))
         << "pool wedged: " << done.load() << "/" << kTasks << " tasks finished";
+}
+
+TEST(ThreadPool, CallerDrainsOnlyItsOwnChunks) {
+    // Two concurrent calls on a pool whose one worker is held busy: each
+    // caller must run its own queued chunk itself and never the other's,
+    // even when the other's chunk sits at the head of the queue.
+    ThreadPool pool(2);
+    std::latch worker_busy(1);
+    std::latch release_worker(1);
+    pool.submit([&] {
+        worker_busy.count_down();
+        release_worker.wait();
+    });
+    worker_busy.wait();
+
+    std::latch a_started(1);
+    std::latch b_returned(1);
+    std::vector<std::thread::id> a_ran(2);
+    std::vector<std::thread::id> b_ran(2);
+    std::thread::id a_id;
+    std::thread::id b_id;
+    // A queues its chunk 1 first, then holds its chunk 0 until B has
+    // returned, so B drains while A's chunk 1 heads the queue.
+    std::thread a([&] {
+        a_id = std::this_thread::get_id();
+        pool.parallel_for(2, 2, [&](std::size_t begin, std::size_t) {
+            a_ran[begin] = std::this_thread::get_id();
+            if (begin == 0) {
+                a_started.count_down();
+                b_returned.wait();
+            }
+        });
+    });
+    a_started.wait();
+    std::thread b([&] {
+        b_id = std::this_thread::get_id();
+        pool.parallel_for(2, 2, [&](std::size_t begin, std::size_t) {
+            b_ran[begin] = std::this_thread::get_id();
+        });
+        b_returned.count_down();
+    });
+    b.join();
+    a.join();
+    release_worker.count_down();
+    EXPECT_EQ(a_ran, std::vector<std::thread::id>(2, a_id));
+    EXPECT_EQ(b_ran, std::vector<std::thread::id>(2, b_id));
 }
 
 /// Child side of NestedParallelForRunsInline: an outer global parallel_for
