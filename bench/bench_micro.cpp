@@ -181,6 +181,30 @@ void BM_MlpForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForwardBackward)->UseRealTime();
 
+// Rows/s of training: one lab fit of one epoch over 2000 rows (encoder
+// fit, then 15 steps of batch 128) — the cost a site pays per FEDTRAIN
+// epoch.  UseRealTime: the encoder's loops may fan out over the pool.
+void BM_FitEpoch(benchmark::State& state) {
+    constexpr std::size_t kRows = 2000;
+    netsim::LabSimOptions sim;
+    sim.records = kRows;
+    sim.seed = 11;
+    const data::Table table = netsim::LabTrafficSimulator(sim).generate();
+    core::KiNetGanOptions opts;
+    opts.gan.epochs = 1;
+    opts.gan.seed = 7;
+    opts.transformer.max_modes = 3;
+    core::KiNetGan model(kg::NetworkKg::build_lab().make_oracle(),
+                         netsim::lab_conditional_columns(), opts);
+    for (auto _ : state) {
+        model.fit(table);
+        benchmark::DoNotOptimize(model.last_cond_adherence());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kRows));
+}
+BENCHMARK(BM_FitEpoch)->UseRealTime();
+
 void BM_KgBuildAndCompileOracle(benchmark::State& state) {
     for (auto _ : state) {
         const auto kg = kg::NetworkKg::build_lab();

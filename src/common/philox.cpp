@@ -117,6 +117,13 @@ void fill_rows(std::uint64_t key, std::uint64_t row0, std::size_t rows,
     }
 }
 
+std::vector<std::uint32_t> matrix_words(std::uint64_t key, std::size_t rows, std::size_t cols) {
+    const std::size_t blocks = blocks_for(cols);
+    std::vector<std::uint32_t> words(rows * blocks * kBlockWords);
+    fill_rows(key, 0, rows, blocks, words.data());
+    return words;
+}
+
 float uniform(std::uint32_t w) noexcept { return uniform_of(w); }
 
 float ln(float x) noexcept { return ln_of(x); }

@@ -1,4 +1,4 @@
-// Counter-based random stream for the sampling path.
+// Counter-based random stream for the sampling path and training's draws.
 //
 // Philox4x32-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
 // 3", SC'11) turns a 128-bit counter and a 64-bit key into four 32-bit words
@@ -16,6 +16,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace kinet::philox {
 
@@ -24,6 +25,11 @@ using Key = std::array<std::uint32_t, 2>;
 
 /// Words per counter block.
 inline constexpr std::size_t kBlockWords = 4;
+
+/// Blocks that hold `words` words.
+[[nodiscard]] constexpr std::size_t blocks_for(std::size_t words) noexcept {
+    return (words + kBlockWords - 1) / kBlockWords;
+}
 
 /// Ten Philox4x32 rounds of `ctr` under `key` (Random123's philox4x32_R
 /// with R = 10).
@@ -35,6 +41,13 @@ inline constexpr std::size_t kBlockWords = 4;
 /// `out` must hold rows * blocks_per_row * kBlockWords words.
 void fill_rows(std::uint64_t key, std::uint64_t row0, std::size_t rows,
                std::size_t blocks_per_row, std::uint32_t* out) noexcept;
+
+/// The words of one rows x cols draw under `key` (the training draws:
+/// noise, Gumbel and dropout matrices): fill_rows(key, 0, rows,
+/// blocks_for(cols), ...), so row r's words start at
+/// r * blocks_for(cols) * kBlockWords.
+[[nodiscard]] std::vector<std::uint32_t> matrix_words(std::uint64_t key, std::size_t rows,
+                                                      std::size_t cols);
 
 /// The open-interval uniform of one word: (int32(w >> 9) + 0.5) * 2^-23.
 /// Every value is exact in float, so u is never 0 or 1.

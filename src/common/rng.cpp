@@ -47,12 +47,6 @@ bool Rng::bernoulli(double p) {
     return dist(engine_);
 }
 
-double Rng::gumbel() {
-    // -log(-log(U)) with U in (0, 1); clamp away from 0/1 for stability.
-    const double u = std::clamp(uniform(), 1e-12, 1.0 - 1e-12);
-    return -std::log(-std::log(u));
-}
-
 std::size_t Rng::categorical(std::span<const double> weights) {
     KINET_CHECK(!weights.empty(), "categorical needs at least one weight");
     double total = 0.0;

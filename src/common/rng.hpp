@@ -34,8 +34,6 @@ public:
     std::int64_t randint(std::int64_t lo, std::int64_t hi);
     /// Bernoulli trial.
     bool bernoulli(double p);
-    /// Gumbel(0, 1) draw — for Gumbel-softmax sampling.
-    double gumbel();
 
     /// Index drawn from unnormalised non-negative weights.
     std::size_t categorical(std::span<const double> weights);

@@ -13,16 +13,6 @@ namespace kinet::core {
 
 using nn::Matrix;
 
-namespace {
-
-// Row grain for the per-row batch-step loops (oracle labelling, gradient
-// masking, attribute gather/scatter): each row is a few hundred ops, so
-// chunks of 32 keep the fork worthwhile.  Every loop writes only its own
-// rows and draws no randomness, so the partition cannot change results.
-constexpr std::size_t kFitRowGrain = 32;
-
-}  // namespace
-
 KiNetGan::KiNetGan(kg::ValidityOracle oracle, std::vector<std::size_t> cond_columns,
                    KiNetGanOptions options)
     : oracle_(std::move(oracle)),
@@ -129,14 +119,9 @@ void KiNetGan::fit(const data::Table& table, const FitObserver& observer) {
 
                 Matrix fake_attrs = extract_kg_attrs(fake);
                 Matrix fake_targets(batch, 1);
-                // Oracle labelling is per-row independent (argmax decode +
-                // hash lookups, no RNG) — row-partitioned like the kernels.
-                parallel_for(batch, kFitRowGrain, [&](std::size_t b0, std::size_t b1) {
-                    for (std::size_t b = b0; b < b1; ++b) {
-                        fake_targets(b, 0) =
-                            row_valid_and_consistent(fake, b, draws[b]) ? 1.0F : 0.0F;
-                    }
-                });
+                for (std::size_t b = 0; b < batch; ++b) {
+                    fake_targets(b, 0) = row_valid_and_consistent(fake, b, draws[b]) ? 1.0F : 0.0F;
+                }
                 Matrix fk_logits = d_kg_->forward(Matrix::hcat(fake_attrs, cond), true);
                 auto fk_loss = nn::bce_with_logits(fk_logits, fake_targets);
                 (void)d_kg_->backward(fk_loss.grad);
@@ -192,19 +177,17 @@ void KiNetGan::fit(const data::Table& table, const FitObserver& observer) {
                 // Conditioned attribute spans belong to the conditional copy
                 // penalty — zero them so the validity pull can never fight
                 // the condition; D_KG adjusts only the free attributes.
-                parallel_for(batch, kFitRowGrain, [&](std::size_t b0, std::size_t b1) {
-                    std::size_t off = 0;
-                    for (std::size_t a = 0; a < kg_columns_.size(); ++a) {
-                        if (kg_attr_cond_pos_[a] != static_cast<std::size_t>(-1)) {
-                            for (std::size_t b = b0; b < b1; ++b) {
-                                for (std::size_t j = 0; j < kg_spans_[a].width; ++j) {
-                                    grad_attrs(b, off + j) = 0.0F;
-                                }
+                std::size_t off = 0;
+                for (std::size_t a = 0; a < kg_columns_.size(); ++a) {
+                    if (kg_attr_cond_pos_[a] != static_cast<std::size_t>(-1)) {
+                        for (std::size_t b = 0; b < batch; ++b) {
+                            for (std::size_t j = 0; j < kg_spans_[a].width; ++j) {
+                                grad_attrs(b, off + j) = 0.0F;
                             }
                         }
-                        off += kg_spans_[a].width;
                     }
-                });
+                    off += kg_spans_[a].width;
+                }
                 scatter_kg_grad(grad_attrs, grad_output);
 
                 // Straight-through correction for rows that decode to an
@@ -212,15 +195,13 @@ void KiNetGan::fit(const data::Table& table, const FitObserver& observer) {
                 // Gumbel-softmax Jacobian vanishes on crisp spans and would
                 // otherwise swallow the signal.
                 Matrix st_grad = grad_attrs;
-                parallel_for(batch, kFitRowGrain, [&](std::size_t b0, std::size_t b1) {
-                    for (std::size_t b = b0; b < b1; ++b) {
-                        if (row_valid_and_consistent(fake, b, draws[b])) {
-                            for (std::size_t j = 0; j < st_grad.cols(); ++j) {
-                                st_grad(b, j) = 0.0F;
-                            }
+                for (std::size_t b = 0; b < batch; ++b) {
+                    if (row_valid_and_consistent(fake, b, draws[b])) {
+                        for (std::size_t j = 0; j < st_grad.cols(); ++j) {
+                            st_grad(b, j) = 0.0F;
                         }
                     }
-                });
+                }
                 scatter_kg_grad(st_grad, kg_grad_logits);
             }
 
@@ -341,32 +322,28 @@ std::size_t KiNetGan::column_index_in_schema(const std::string& name) const {
 
 Matrix KiNetGan::extract_kg_attrs(const Matrix& encoded) const {
     Matrix out(encoded.rows(), kg_input_width_);
-    parallel_for(encoded.rows(), kFitRowGrain, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            std::size_t off = 0;
-            for (const auto& span : kg_spans_) {
-                for (std::size_t j = 0; j < span.width; ++j) {
-                    out(r, off + j) = encoded(r, span.offset + j);
-                }
-                off += span.width;
+    for (std::size_t r = 0; r < encoded.rows(); ++r) {
+        std::size_t off = 0;
+        for (const auto& span : kg_spans_) {
+            for (std::size_t j = 0; j < span.width; ++j) {
+                out(r, off + j) = encoded(r, span.offset + j);
             }
+            off += span.width;
         }
-    });
+    }
     return out;
 }
 
 void KiNetGan::scatter_kg_grad(const Matrix& grad_attrs, Matrix& grad_full) const {
-    parallel_for(grad_full.rows(), kFitRowGrain, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            std::size_t off = 0;
-            for (const auto& span : kg_spans_) {
-                for (std::size_t j = 0; j < span.width; ++j) {
-                    grad_full(r, span.offset + j) += grad_attrs(r, off + j);
-                }
-                off += span.width;
+    for (std::size_t r = 0; r < grad_full.rows(); ++r) {
+        std::size_t off = 0;
+        for (const auto& span : kg_spans_) {
+            for (std::size_t j = 0; j < span.width; ++j) {
+                grad_full(r, span.offset + j) += grad_attrs(r, off + j);
             }
+            off += span.width;
         }
-    });
+    }
 }
 
 std::uint64_t KiNetGan::cond_key_of_draw(const data::CondDraw& draw) const {
@@ -510,10 +487,6 @@ namespace {
 /// Decorrelates request-stream seeds from the training seed space.
 constexpr std::uint64_t kStreamSeedSalt = 0x9e3779b97f4a7c15ULL;
 
-constexpr std::size_t blocks_for(std::size_t words) {
-    return (words + philox::kBlockWords - 1) / philox::kBlockWords;
-}
-
 /// Decoded-table slots of a cursor over n rows: one per generation batch
 /// of the rows a wave serves (a chunk, or the whole request when framed),
 /// at most one per pool lane.
@@ -567,8 +540,8 @@ void KiNetGan::produce_sample_batch(
         }
     }
     // Block 0 is the condition, then the noise blocks, then the Gumbel blocks.
-    const std::size_t gumbel_block = 1 + blocks_for(noise_dim);
-    const std::size_t row_blocks = gumbel_block + blocks_for(softmax_width);
+    const std::size_t gumbel_block = 1 + philox::blocks_for(noise_dim);
+    const std::size_t row_blocks = gumbel_block + philox::blocks_for(softmax_width);
     const std::size_t row_words = row_blocks * philox::kBlockWords;
 
     out.words.resize(b * row_words);

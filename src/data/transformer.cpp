@@ -13,57 +13,29 @@ void TableTransformer::fit(const Table& table, const TransformerOptions& options
     KINET_CHECK(table.rows() > 0, "TableTransformer::fit: empty table");
     schema_ = table.schema();
     options_ = options;
-    spans_.clear();
     gmms_.assign(schema_.size(), Gmm1D{});
-    output_width_ = 0;
-
     for (std::size_t c = 0; c < schema_.size(); ++c) {
-        if (schema_[c].is_categorical()) {
-            OutputSpan span;
-            span.column = c;
-            span.kind = SpanKind::category_onehot;
-            span.offset = output_width_;
-            span.width = schema_[c].categories.size();
-            spans_.push_back(span);
-            output_width_ += span.width;
-        } else {
-            const auto values = table.column_values(c);
-            gmms_[c] = Gmm1D::fit(values, options.max_modes, rng, options.gmm_iterations);
-
-            OutputSpan alpha;
-            alpha.column = c;
-            alpha.kind = SpanKind::continuous_alpha;
-            alpha.offset = output_width_;
-            alpha.width = 1;
-            spans_.push_back(alpha);
-            output_width_ += 1;
-
-            OutputSpan mode;
-            mode.column = c;
-            mode.kind = SpanKind::mode_onehot;
-            mode.offset = output_width_;
-            mode.width = gmms_[c].component_count();
-            spans_.push_back(mode);
-            output_width_ += mode.width;
+        if (!schema_[c].is_categorical()) {
+            gmms_[c] = Gmm1D::fit(table.column_values(c), options.max_modes, rng,
+                                  options.gmm_iterations);
         }
     }
-    pair_mode_spans();
+    lay_out_spans();
 }
 
-void TableTransformer::pair_mode_spans() {
-    constexpr auto kNone = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> alpha_of_column(schema_.size(), kNone);
-    for (const auto& s : spans_) {
-        if (s.kind == SpanKind::continuous_alpha && alpha_of_column[s.column] == kNone) {
-            alpha_of_column[s.column] = s.offset;
-        }
-    }
-    alpha_offset_.assign(spans_.size(), kNone);
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-        if (spans_[i].kind == SpanKind::mode_onehot) {
-            alpha_offset_[i] = alpha_of_column[spans_[i].column];
-            KINET_CHECK(alpha_offset_[i] != kNone,
-                        "TableTransformer: mode span without an alpha span");
+void TableTransformer::lay_out_spans() {
+    spans_.clear();
+    output_width_ = 0;
+    for (std::size_t c = 0; c < schema_.size(); ++c) {
+        const auto add = [&](SpanKind kind, std::size_t width) {
+            spans_.push_back({c, kind, output_width_, width});
+            output_width_ += width;
+        };
+        if (schema_[c].is_categorical()) {
+            add(SpanKind::category_onehot, schema_[c].categories.size());
+        } else {
+            add(SpanKind::continuous_alpha, 1);
+            add(SpanKind::mode_onehot, gmms_[c].component_count());
         }
     }
 }
@@ -88,9 +60,6 @@ tensor::Matrix TableTransformer::transform(const Table& table, Rng& rng) const {
                 }
             });
         } else if (span.kind == SpanKind::continuous_alpha) {
-            KINET_CHECK(si + 1 < spans_.size() && spans_[si + 1].kind == SpanKind::mode_onehot &&
-                            spans_[si + 1].column == span.column,
-                        "transform: alpha span without paired mode span");
             const OutputSpan& mode_span = spans_[si + 1];
             const Gmm1D& gmm = gmms_[span.column];
             const std::size_t k_count = gmm.component_count();
@@ -148,8 +117,7 @@ void TableTransformer::inverse_into(const tensor::Matrix& encoded, tensor::Matri
     for (std::size_t r = 0; r < encoded.rows(); ++r) {
         const auto row = encoded.row(r);
         auto raw = raw_scratch.row(r);
-        for (std::size_t i = 0; i < spans_.size(); ++i) {
-            const auto& span = spans_[i];
+        for (const auto& span : spans_) {
             switch (span.kind) {
             case SpanKind::category_onehot: {
                 std::size_t best = 0;
@@ -172,8 +140,9 @@ void TableTransformer::inverse_into(const tensor::Matrix& encoded, tensor::Matri
                         best = j;
                     }
                 }
+                // lay_out_spans puts the column's alpha just before it.
                 const double alpha =
-                    std::clamp(static_cast<double>(row[alpha_offset_[i]]), -1.0, 1.0);
+                    std::clamp(static_cast<double>(row[span.offset - 1]), -1.0, 1.0);
                 const auto& comp = gmms_[span.column].component(best);
                 raw[span.column] = static_cast<float>(alpha * 4.0 * comp.stddev + comp.mean);
                 break;
@@ -218,9 +187,8 @@ TableTransformer TableTransformer::load(bytes::Reader& in) {
     tf.schema_ = load_schema(in);
     // Each span record is 8 + 1 + 8 + 8 bytes; each GMM at least a count.
     const std::size_t span_count = in.element_count(25, "transformer spans");
-    tf.spans_.reserve(span_count);
-    for (std::size_t s = 0; s < span_count; ++s) {
-        OutputSpan span;
+    std::vector<OutputSpan> stored(span_count);
+    for (auto& span : stored) {
         span.column = static_cast<std::size_t>(in.u64());
         const auto kind = in.u8();
         KINET_CHECK(kind <= static_cast<std::uint8_t>(SpanKind::category_onehot),
@@ -228,9 +196,6 @@ TableTransformer TableTransformer::load(bytes::Reader& in) {
         span.kind = static_cast<SpanKind>(kind);
         span.offset = static_cast<std::size_t>(in.u64());
         span.width = static_cast<std::size_t>(in.u64());
-        KINET_CHECK(span.column < tf.schema_.size(),
-                    "TableTransformer::load: span column out of range");
-        tf.spans_.push_back(span);
     }
     const std::size_t gmm_count = in.element_count(8, "transformer gmms");
     KINET_CHECK(gmm_count == tf.schema_.size(),
@@ -239,15 +204,21 @@ TableTransformer TableTransformer::load(bytes::Reader& in) {
     for (std::size_t g = 0; g < gmm_count; ++g) {
         tf.gmms_.push_back(Gmm1D::load(in));
     }
-    tf.output_width_ = static_cast<std::size_t>(in.u64());
+    const auto stored_width = static_cast<std::size_t>(in.u64());
     tf.options_.max_modes = static_cast<std::size_t>(in.u64());
     tf.options_.gmm_iterations = static_cast<std::size_t>(in.u64());
     tf.options_.sample_mode_assignment = in.boolean();
+    // The stored spans repeat what the schema and GMMs determine.  Compare
+    // them with that layout instead of range-checking each span: a span
+    // whose offset + width wraps, or that overlaps, skips or leaves part
+    // of the output, is rejected without any arithmetic on stored values.
+    // Widths come from loaded containers, so their sum cannot overflow.
+    tf.lay_out_spans();
+    KINET_CHECK(stored == tf.spans_ && stored_width == tf.output_width_,
+                "TableTransformer::load: spans do not tile the schema's encoding");
     for (const auto& span : tf.spans_) {
-        KINET_CHECK(span.offset + span.width <= tf.output_width_,
-                    "TableTransformer::load: span exceeds output width");
+        KINET_CHECK(span.width > 0, "TableTransformer::load: empty span");
     }
-    tf.pair_mode_spans();
     return tf;
 }
 

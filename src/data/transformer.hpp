@@ -27,6 +27,8 @@ struct OutputSpan {
     SpanKind kind = SpanKind::continuous_alpha;
     std::size_t offset = 0;  // first encoded dimension
     std::size_t width = 0;   // number of encoded dimensions
+
+    bool operator==(const OutputSpan&) const = default;
 };
 
 struct TransformerOptions {
@@ -75,15 +77,15 @@ public:
     [[nodiscard]] static TableTransformer load(bytes::Reader& in);
 
 private:
-    /// Pairs each mode span with its column's alpha span (fills
-    /// alpha_offset_); called wherever spans_ is built, so decoding does
-    /// no pairing per batch.
-    void pair_mode_spans();
+    /// Builds spans_ and output_width_ from schema_ and gmms_: column by
+    /// column, a categorical column's one-hot block, or a continuous
+    /// column's alpha dimension followed by its mode one-hot block.  The
+    /// spans therefore tile [0, output_width_) in order, and each mode
+    /// span's alpha is the dimension just before it.
+    void lay_out_spans();
 
     std::vector<ColumnMeta> schema_;
     std::vector<OutputSpan> spans_;
-    // Per span: a mode span's alpha offset, unused for other kinds.
-    std::vector<std::size_t> alpha_offset_;
     std::vector<Gmm1D> gmms_;  // indexed by column; empty Gmm1D for categorical
     std::size_t output_width_ = 0;
     TransformerOptions options_;

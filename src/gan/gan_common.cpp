@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "src/common/check.hpp"
-#include "src/common/parallel.hpp"
+#include "src/common/philox.hpp"
 
 namespace kinet::gan {
 
@@ -39,11 +39,8 @@ nn::Matrix OutputActivation::forward(const nn::Matrix& input, bool /*training*/)
 
 void OutputActivation::draw_noise(std::size_t rows, std::size_t cols, Rng& rng,
                                   nn::Matrix& noise) const {
-    // Same stream consumption as forward(): the full matrix, row-major.
-    noise.resize_for_overwrite(rows, cols);
-    for (auto& v : noise.data()) {
-        v = static_cast<float>(rng.gumbel());
-    }
+    // Same stream consumption as forward(): one key word, the full matrix.
+    noise = nn::gumbel_noise(rows, cols, rng);
 }
 
 void OutputActivation::apply_spans(nn::Matrix& x, const nn::Matrix& noise) const {
@@ -216,51 +213,43 @@ double cond_adherence_rate(const nn::Matrix& gen_output, const nn::Matrix& cond,
                            const std::vector<data::OutputSpan>& span_for_block) {
     KINET_CHECK(span_for_block.size() == builder.block_count(),
                 "cond_adherence_rate: block/span count mismatch");
-    // Row-partitioned (argmax per block per row, no RNG); the per-row
-    // integer counts are summed serially afterwards, so the tally is exact
-    // and partition-independent.
-    std::vector<std::uint32_t> row_hits(gen_output.rows(), 0);
-    std::vector<std::uint32_t> row_total(gen_output.rows(), 0);
-    parallel_for(gen_output.rows(), 64, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            for (std::size_t p = 0; p < builder.block_count(); ++p) {
-                const auto& span = span_for_block[p];
-                const std::size_t c_off = builder.block_offset(p);
-                // Requested value (if this block is conditioned at all).
-                std::size_t requested = span.width;
-                for (std::size_t j = 0; j < span.width; ++j) {
-                    if (cond(r, c_off + j) > 0.5F) {
-                        requested = j;
-                        break;
-                    }
-                }
-                if (requested == span.width) {
-                    continue;  // unconditioned block (anchor-only encoding)
-                }
-                std::size_t got = 0;
-                for (std::size_t j = 1; j < span.width; ++j) {
-                    if (gen_output(r, span.offset + j) > gen_output(r, span.offset + got)) {
-                        got = j;
-                    }
-                }
-                row_hits[r] += (got == requested) ? 1 : 0;
-                ++row_total[r];
-            }
-        }
-    });
     std::size_t hits = 0;
     std::size_t total = 0;
     for (std::size_t r = 0; r < gen_output.rows(); ++r) {
-        hits += row_hits[r];
-        total += row_total[r];
+        for (std::size_t p = 0; p < builder.block_count(); ++p) {
+            const auto& span = span_for_block[p];
+            const std::size_t c_off = builder.block_offset(p);
+            // Requested value (if this block is conditioned at all).
+            std::size_t requested = span.width;
+            for (std::size_t j = 0; j < span.width; ++j) {
+                if (cond(r, c_off + j) > 0.5F) {
+                    requested = j;
+                    break;
+                }
+            }
+            if (requested == span.width) {
+                continue;  // unconditioned block (anchor-only encoding)
+            }
+            std::size_t got = 0;
+            for (std::size_t j = 1; j < span.width; ++j) {
+                if (gen_output(r, span.offset + j) > gen_output(r, span.offset + got)) {
+                    got = j;
+                }
+            }
+            hits += (got == requested) ? 1 : 0;
+            ++total;
+        }
     }
     return (total == 0) ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
 }
 
 nn::Matrix sample_noise(std::size_t rows, std::size_t cols, Rng& rng) {
-    nn::Matrix z(rows, cols);
-    for (auto& v : z.data()) {
-        v = static_cast<float>(rng.normal());
+    const std::vector<std::uint32_t> words = philox::matrix_words(rng.engine()(), rows, cols);
+    const std::size_t stride = philox::blocks_for(cols) * philox::kBlockWords;
+    nn::Matrix z;
+    z.resize_for_overwrite(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        philox::normals(words.data() + r * stride, cols, z.row(r).data());
     }
     return z;
 }

@@ -101,7 +101,8 @@ struct CondPenaltyResult {
                                          const CondVectorBuilder& builder,
                                          const std::vector<data::OutputSpan>& span_for_block);
 
-/// Fills a matrix with N(0,1) noise.
+/// A rows x cols matrix of N(0,1) noise: one word of `rng` keys a Philox
+/// draw (philox::matrix_words) and row r is philox::normals of its words.
 [[nodiscard]] nn::Matrix sample_noise(std::size_t rows, std::size_t cols, Rng& rng);
 
 /// Binary targets helper (constant matrix).

@@ -1,8 +1,12 @@
 #include "src/nn/dropout.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/philox.hpp"
 #include "src/tensor/ops.hpp"
 
 namespace kinet::nn {
@@ -17,15 +21,26 @@ Matrix Dropout::forward(const Matrix& input, bool training) {
         return input;
     }
     used_mask_ = true;
-    mask_.resize(input.rows(), input.cols());
+    // One word of the model's stream keys the mask; element (r, c) is
+    // dropped iff its Philox word is below round(p * 2^32), so each word
+    // decides one element with an integer compare.
+    const std::size_t rows = input.rows();
+    const std::size_t cols = input.cols();
+    const std::vector<std::uint32_t> words = philox::matrix_words(rng_->engine()(), rows, cols);
+    const std::size_t stride = philox::blocks_for(cols) * philox::kBlockWords;
+    const auto threshold =
+        static_cast<std::uint64_t>(std::llround(static_cast<double>(p_) * 0x1p32));
     const float keep_scale = 1.0F / (1.0F - p_);
+    mask_.resize_for_overwrite(rows, cols);
     Matrix out = input;
-    auto od = out.data();
-    auto md = mask_.data();
-    for (std::size_t i = 0; i < od.size(); ++i) {
-        const bool keep = !rng_->bernoulli(p_);
-        md[i] = keep ? keep_scale : 0.0F;
-        od[i] *= md[i];
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::uint32_t* w = words.data() + r * stride;
+        auto m = mask_.row(r);
+        auto o = out.row(r);
+        for (std::size_t c = 0; c < cols; ++c) {
+            m[c] = w[c] >= threshold ? keep_scale : 0.0F;
+            o[c] *= m[c];
+        }
     }
     return out;
 }

@@ -10,6 +10,7 @@ namespace kinet::nn {
 class Dropout : public Module {
 public:
     /// Drops activations with probability `p`; scales survivors by 1/(1-p).
+    /// Each training forward keys its mask with one word of `rng`.
     Dropout(float p, Rng& rng);
 
     Matrix forward(const Matrix& input, bool training) override;

@@ -3,14 +3,18 @@
 #include <cmath>
 
 #include "src/common/check.hpp"
+#include "src/common/philox.hpp"
 #include "src/tensor/ops.hpp"
 
 namespace kinet::nn {
 
 Matrix gumbel_noise(std::size_t rows, std::size_t cols, Rng& rng) {
-    Matrix out(rows, cols);
-    for (auto& v : out.data()) {
-        v = static_cast<float>(rng.gumbel());
+    const std::vector<std::uint32_t> words = philox::matrix_words(rng.engine()(), rows, cols);
+    const std::size_t stride = philox::blocks_for(cols) * philox::kBlockWords;
+    Matrix out;
+    out.resize_for_overwrite(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        philox::gumbels(words.data() + r * stride, cols, out.row(r).data());
     }
     return out;
 }

@@ -11,7 +11,9 @@ namespace kinet::nn {
 
 using tensor::Matrix;
 
-/// Fills a matrix with iid Gumbel(0,1) noise.
+/// A rows x cols matrix of iid Gumbel(0,1) noise: one word of `rng` keys
+/// a Philox draw (philox::matrix_words) and row r is philox::gumbels of
+/// its own words, so the values do not depend on libm or <random>.
 [[nodiscard]] Matrix gumbel_noise(std::size_t rows, std::size_t cols, Rng& rng);
 
 /// In-place forward over columns [begin, end):

@@ -1,9 +1,19 @@
-// Behavioural tests for the KiNETGAN core model (small configs for speed).
+// Behavioural tests for the KiNETGAN core model (small configs for speed),
+// and two pool checks in child processes (the pool size is latched at
+// first use): a trained model does not depend on the lane count, and a
+// training step hands no work to the pool.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "src/common/bytes.hpp"
 #include "src/common/check.hpp"
+#include "src/common/parallel.hpp"
 #include "src/core/kinetgan.hpp"
 #include "src/netsim/lab_simulator.hpp"
+#include "src/service/snapshot.hpp"
+#include "tests/run_self.hpp"
 
 namespace {
 
@@ -147,4 +157,90 @@ TEST(KiNetGan, RequiresCategoricalOracleColumns) {
     EXPECT_THROW(KiNetGan(kg.make_oracle(), {}, tiny_options()), kinet::Error);
 }
 
+/// Child side of KiNetGan.TrainedSnapshotDoesNotDependOnLaneCount: fits a
+/// small lab model and prints the FNV-1a hash of its snapshot, then
+/// "split" if any parallel_for ran as more than one chunk, else "serial".
+/// The 4096-row table makes the encoder's loops split, and batch 512 makes
+/// the training step's GEMMs split, at four lanes.
+std::string fit_snapshot_hash() {
+    auto opts = tiny_options(5);
+    opts.gan.epochs = 1;
+    opts.gan.batch_size = 512;
+    opts.gan.hidden_dim = 128;
+    const Table real = small_lab(4096);
+    const auto kg = kinet::kg::NetworkKg::build_lab();
+    KiNetGan model(kg.make_oracle(), kinet::netsim::lab_conditional_columns(), opts);
+    model.fit(real);
+    // The payload ends with the fit's wall-clock seconds (an f64), which
+    // no two runs share; the 28-byte container header checksums it.
+    const std::string blob = kinet::service::write_snapshot(model);
+    const std::string trained = blob.substr(28, blob.size() - 28 - 8);
+    char line[64];
+    std::snprintf(line, sizeof(line), "%016llx %s\n",
+                  static_cast<unsigned long long>(kinet::bytes::fnv1a(trained)),
+                  kinet::parallel_for_split_count() > 0 ? "split" : "serial");
+    return line;
+}
+
+/// Child side of KiNetGan.TrainingStepsStayOffThePool: fits the lab model
+/// at its default batch of 128 for three epochs and prints how many
+/// parallel_for calls split during the last two (after the encoder fit).
+std::string step_splits() {
+    auto opts = tiny_options(5);
+    opts.gan = kinet::gan::GanOptions{};
+    opts.gan.epochs = 3;
+    const Table real = small_lab(2000);
+    const auto kg = kinet::kg::NetworkKg::build_lab();
+    KiNetGan model(kg.make_oracle(), kinet::netsim::lab_conditional_columns(), opts);
+    std::size_t after_first = 0;
+    model.fit(real, [&](std::size_t epoch, std::size_t) {
+        if (epoch == 1) {
+            after_first = kinet::parallel_for_split_count();
+        }
+        return true;
+    });
+    return std::to_string(kinet::parallel_for_split_count() - after_first) + "\n";
+}
+
+TEST(KiNetGan, TrainingStepsStayOffThePool) {
+    // A batch-128 step's GEMMs are under the pool's split threshold and
+    // its per-row loops run on the caller, so at four lanes a whole epoch
+    // hands nothing to the pool.
+    if (kinet::testing::self_exe().empty()) {
+        GTEST_SKIP() << "cannot resolve own binary path";
+    }
+    EXPECT_EQ(kinet::testing::run_self("KINET_NUM_THREADS=4", "--step-splits"), "0\n");
+}
+
+TEST(KiNetGan, TrainedSnapshotDoesNotDependOnLaneCount) {
+    if (kinet::testing::self_exe().empty()) {
+        GTEST_SKIP() << "cannot resolve own binary path";
+    }
+    const std::string one = kinet::testing::run_self("KINET_NUM_THREADS=1", "--fit-snapshot-hash");
+    const std::string four =
+        kinet::testing::run_self("KINET_NUM_THREADS=4", "--fit-snapshot-hash");
+    ASSERT_TRUE(one.ends_with(" serial\n")) << one;
+    // Without a split at four lanes this would only re-check the serial fit.
+    ASSERT_TRUE(four.ends_with(" split\n")) << four;
+    EXPECT_EQ(one.substr(0, 16), four.substr(0, 16));
+}
+
 }  // namespace
+
+// Custom main: `--fit-snapshot-hash` and `--step-splits` turn the binary
+// into the child side of KiNetGan.TrainedSnapshotDoesNotDependOnLaneCount
+// and KiNetGan.TrainingStepsStayOffThePool (print and exit).
+int main(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) == "--fit-snapshot-hash") {
+            std::fputs(fit_snapshot_hash().c_str(), stdout);
+            return 0;
+        }
+        if (std::string(argv[i]) == "--step-splits") {
+            std::fputs(step_splits().c_str(), stdout);
+            return 0;
+        }
+    }
+    ::testing::InitGoogleTest(&argc, argv);
+    return RUN_ALL_TESTS();
+}

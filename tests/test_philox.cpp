@@ -5,7 +5,9 @@
 // stream's bits are checked on every compiler, build type and ISA that
 // runs this suite; (3) the in-tree transforms are finite and accurate over
 // every value the uniform can take; (4) normal and Gumbel draws have the
-// right moments.  That served rows do not depend on the requested count is
+// right moments; (5) the training draws built on the stream (noise, Gumbel
+// and dropout matrices) are pinned by one hash, and dropout keeps the
+// right share.  That served rows do not depend on the requested count is
 // checked in test_inference.cpp.
 #include <gtest/gtest.h>
 
@@ -18,6 +20,10 @@
 
 #include "src/common/bytes.hpp"
 #include "src/common/philox.hpp"
+#include "src/common/rng.hpp"
+#include "src/gan/gan_common.hpp"
+#include "src/nn/dropout.hpp"
+#include "src/nn/gumbel.hpp"
 
 namespace {
 
@@ -197,6 +203,37 @@ TEST(Philox, GumbelMomentsWithinFourSigma) {
     EXPECT_NEAR(m.mean, std::numbers::egamma, 4.0 * std::sqrt(var / n));
     // Var of the sample variance is (mu4 - sigma^4) / n; Gumbel kurtosis is 5.4.
     EXPECT_NEAR(m.var, var, 4.0 * std::sqrt(4.4 * var * var / n));
+}
+
+// Training's draws from a fixed Rng, each keyed by one word of it: the
+// generator noise of a lab batch, the Gumbel matrix of its output width
+// and a p = 0.25 dropout mask over a hidden layer.  Values and mask
+// entries are hashed in host byte order.
+TEST(Philox, TrainingDrawsHashIsPinned) {
+    kinet::Rng rng(2405);
+    const auto noise = kinet::gan::sample_noise(128, 64, rng);
+    const auto gumbel = kinet::nn::gumbel_noise(128, 79, rng);
+    kinet::nn::Dropout dropout(0.25F, rng);
+    const auto mask = dropout.forward(kinet::tensor::Matrix(128, 128, 1.0F), true);
+    std::string bytes;
+    for (const auto* m : {&noise, &gumbel, &mask}) {
+        const auto d = m->data();
+        bytes.append(reinterpret_cast<const char*>(d.data()), d.size() * sizeof(float));
+    }
+    EXPECT_EQ(kinet::bytes::fnv1a(bytes), 0xe660999390b8a8d0ULL);
+}
+
+TEST(Philox, DropoutKeepRateWithinFourSigma) {
+    kinet::Rng rng(2406);
+    kinet::nn::Dropout dropout(0.25F, rng);
+    const auto out = dropout.forward(kinet::tensor::Matrix(1024, 1024, 1.0F), true);
+    std::size_t kept = 0;
+    for (const float v : out.data()) {
+        ASSERT_TRUE(v == 0.0F || v == 1.0F / 0.75F) << v;
+        kept += v != 0.0F ? 1 : 0;
+    }
+    const double n = static_cast<double>(kDraws);
+    EXPECT_NEAR(static_cast<double>(kept) / n, 0.75, 4.0 * std::sqrt(0.75 * 0.25 / n));
 }
 
 }  // namespace

@@ -171,6 +171,27 @@ TEST(SnapshotFuzz, ChecksumFixedPayloadMutationsNeverCrash) {
     }
 }
 
+TEST(SnapshotFuzz, TransformerStompSweepNeverCrashes) {
+    // The transformer's spans size the encoder, the decoder and the
+    // sampling stream's Gumbel draws.  An 8-byte stomp at every byte of its
+    // serialized form, with both stomp values the random mix above uses at
+    // its extremes, must fail with kinet::Error or load a model that still
+    // samples.
+    const std::string payload = valid_snapshot().substr(28);
+    kinet::bytes::Writer tf;
+    kinet::service::read_snapshot(valid_snapshot())->transformer().save(tf);
+    const std::size_t begin = payload.find(tf.buffer());
+    ASSERT_NE(begin, std::string::npos);
+    for (std::size_t pos = begin; pos < begin + tf.buffer().size(); ++pos) {
+        for (const std::uint64_t stomp : {~std::uint64_t{0}, std::uint64_t{1} << 30}) {
+            std::string mutated = payload;
+            std::memcpy(mutated.data() + pos, &stomp,
+                        std::min(sizeof(stomp), mutated.size() - pos));
+            expect_no_crash(frame_with_fixed_checksum(mutated));
+        }
+    }
+}
+
 TEST(SnapshotFuzz, TrailingGarbageAfterPayloadIsRejected) {
     const std::string payload = valid_snapshot().substr(28);
     expect_no_crash(frame_with_fixed_checksum(payload + std::string(16, '\x7f')));
